@@ -10,7 +10,7 @@ import sys
 from mpmath import mp
 
 import hankelspectra as hs
-from hankelspectra.figio import FigureConfig, render_spectra
+from hankelspectra.figio import render_spectra
 
 
 def main(outdir="demo_out"):
@@ -42,8 +42,7 @@ def main(outdir="demo_out"):
                  mp.nstr(stats.inter_median, 6), mp.nstr(stats.ratio, 6)))
 
     out = "%s/spectra_l1.svg" % outdir
-    render_spectra(result.records, FigureConfig(), out,
-                   split_policy="largest-gap")
+    render_spectra(result.records, out, split_policy="largest-gap")
     print("\nscatter figure written to", out)
 
 

@@ -11,7 +11,7 @@ import sys
 from mpmath import mp
 
 import hankelspectra as hs
-from hankelspectra.figio import FigureConfig, render_distribution
+from hankelspectra.figio import render_distribution
 
 
 def main(outdir="demo_out"):
@@ -56,7 +56,7 @@ def main(outdir="demo_out"):
     print("dyadic convergence?  ", conv.verdict)
 
     out = "%s/distribution_l1_m32.svg" % outdir
-    render_distribution(dists[32], FigureConfig(), out)
+    render_distribution(dists[32], out)
     print("\nstep-function figure written to", out)
 
 

@@ -1,0 +1,59 @@
+#!/usr/bin/env bash
+# Run a fixed set of CLI commands from this checkout and write every output
+# file into OUTDIR.
+#
+#   scripts/fixed_outputs.sh OUTDIR
+#
+# The set covers each writer of the program: sweep CSV and JSON, spectrum,
+# dist, checks v3/v5 and 2A-2E, both SVG figures, every manifest and the
+# coefficient cache.  Commands run inside OUTDIR with relative paths, and
+# their exit codes, stdout and stderr go to OUTDIR/log.txt, so two runs of
+# equal code give equal trees.  To show that a change keeps every output
+# byte-identical, run the script in a checkout of each commit and compare:
+#
+#   diff -r OUT_BEFORE OUT_AFTER
+#
+# The zeta-star checks dominate the run time (under a minute on one core).
+set -u
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+PY="${PYTHON:-python3}"
+mkdir -p "$1"
+cd "$1" || exit 2
+rm -rf cache ./*.csv ./*.json ./*.svg log.txt
+
+unset HANKELSPECTRA_CACHE
+export PYTHONPATH="$ROOT/src"
+# warnings name the source file and line, which differ between checkouts
+export PYTHONWARNINGS=ignore
+
+# 13 seeded moments in (-1, 1): enough for l=1, m <= 12
+MOMENTS="$("$PY" -c 'import random; r = random.Random(9); print(",".join(str(r.uniform(-1, 1)) for _ in range(13)))')"
+
+run() {
+    echo "\$ hankelspectra $*" >> log.txt
+    "$PY" -m hankelspectra.figio "$@" --cache-dir cache >> log.txt 2>&1
+    echo "exit $?" >> log.txt
+}
+
+run sweep --func "user-moments:$MOMENTS" --l 1 --m-max 12 --digits 77 \
+    --jobs 2 --out sweep_moments.csv
+run sweep --func geometric:1 --l 1 --m-max 6 --format json \
+    --out sweep_geometric.json
+run spectrum --func exponential --l 2 --m 5 --format json \
+    --out spectrum_exponential.json
+run dist --func exponential --l 1 --m 8 --out dist_exponential.csv
+run check v3 --func exponential --l 1 --m-max 16 --out check_v3.json
+run check v5 --func exponential --l 1 --m-max 12 --out check_v5.json
+run figure spectra --func exponential --l 1 --m-max 10 --policy largest-gap \
+    --out figure_spectra.svg
+run figure dist --func exponential --l 1 --m 8 --out figure_dist.svg
+for cid in 2A 2B 2C 2D; do
+    run check "$cid" --func zeta-star --l 1 --m-max 32 --out "check_$cid.json"
+done
+run check 2E --func zeta-star --l 1,2 --m-max 32 --out check_2E.json

@@ -34,7 +34,6 @@ from .dist import (
 )
 from .hankel import (
     DetRelationReport,
-    HankelSpec,
     SignedHankel,
     det_relation_check,
     hankel_core,

@@ -193,20 +193,6 @@ class FunctionSpec:
             "generator_id": self.generator_id,
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "FunctionSpec":
-        return FunctionSpec(
-            name=d["name"],
-            kind=d["kind"],
-            family=d.get("family", ""),
-            params=tuple(d.get("params", ())),
-            s0=tuple(d.get("s0", ("0", "0"))),
-            pole_removal=d.get("pole_removal", ""),
-            ring_radius=d.get("ring_radius", "1"),
-            analyticity_radius=d.get("analyticity_radius", "inf"),
-            generator_id=d.get("generator_id", ""),
-        )
-
 
 def builtin_spec(family: str, *params) -> FunctionSpec:
     if family not in BUILTIN_FAMILIES:
@@ -314,9 +300,6 @@ class CoeffStream:
     values: tuple
     precision_bits: int
     provenance: str = ""
-
-    def coefficient(self, k: int) -> mpf:
-        return theta(self, k)
 
 
 def theta(stream: CoeffStream, k: int) -> mpf:
@@ -604,7 +587,7 @@ def _cache_load(spec: FunctionSpec, prec: int, cache_dir: str):
                         "non-contiguous cache indices at k=%s" % rec["k"]
                     )
                 values.append(from_decimal(rec["v"], prec))
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:   # JSONDecodeError is a ValueError
         raise CacheCorruptionError("unreadable cache for %s: %s"
                                    % (spec.name, exc))
     if not values:

@@ -48,31 +48,12 @@ from .mpnum import det_lu, to_decimal
 CHECK_IDS = ("2A", "2B", "2C", "2D", "2E", "v2", "v3", "v5", "v6")
 
 
-@dataclass(frozen=True)
-class FigureConfig:
-    width: int = 1200
-    height: int = 800
-    margin: int = 70
-    marker_radius: float = 2.0
-    x_range: tuple | None = None    # (lo, hi) floats, or None for auto
-    y_range: tuple | None = None
-    marker_color: str = "#303030"
-    electron_color: str = "#1f6fb4"
-    train_color: str = "#c0392b"
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("figure dimensions must be positive")
-        for rng in (self.x_range, self.y_range):
-            if rng is not None:
-                lo, hi = float(rng[0]), float(rng[1])
-                if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                    raise ValueError("fixed axis range must be finite and ordered")
+WIDTH, HEIGHT, MARGIN = 1200, 800, 70
+MARKER_RADIUS = 2.0
+MARKER_COLORS = {"pt": "#303030", "electron": "#1f6fb4", "train": "#c0392b"}
 
 
-def _auto_range(vals, fixed):
-    if fixed is not None:
-        return float(fixed[0]), float(fixed[1])
+def _auto_range(vals):
     lo, hi = min(vals), max(vals)
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
@@ -83,26 +64,22 @@ def _auto_range(vals, fixed):
 class _Canvas:
     """Tiny deterministic SVG writer with linear data-to-pixel transforms."""
 
-    def __init__(self, cfg, xlo, xhi, ylo, yhi):
-        self.cfg = cfg
+    def __init__(self, xlo, xhi, ylo, yhi):
         self.xlo, self.xhi, self.ylo, self.yhi = xlo, xhi, ylo, yhi
         self.parts = []
 
     def px(self, x):
-        c = self.cfg
-        return c.margin + (x - self.xlo) / (self.xhi - self.xlo) * (c.width - 2 * c.margin)
+        return MARGIN + (x - self.xlo) / (self.xhi - self.xlo) * (WIDTH - 2 * MARGIN)
 
     def py(self, y):
-        c = self.cfg
-        return c.height - c.margin - (y - self.ylo) / (self.yhi - self.ylo) * (c.height - 2 * c.margin)
+        return HEIGHT - MARGIN - (y - self.ylo) / (self.yhi - self.ylo) * (HEIGHT - 2 * MARGIN)
 
     def add(self, s):
         self.parts.append(s)
 
     def axes(self, xlabel, ylabel):
-        c = self.cfg
-        x0, x1 = c.margin, c.width - c.margin
-        y0, y1 = c.height - c.margin, c.margin
+        x0, x1 = MARGIN, WIDTH - MARGIN
+        y0, y1 = HEIGHT - MARGIN, MARGIN
         self.add('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#000" stroke-width="1"/>'
                  % (x0, y0, x1, y0))
         self.add('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#000" stroke-width="1"/>'
@@ -120,21 +97,20 @@ class _Canvas:
             self.add('<text x="%.2f" y="%.2f" font-size="12" text-anchor="end">%s</text>'
                      % (x0 - 8, yp + 4, escape("%.4g" % yv)))
         self.add('<text x="%.2f" y="%.2f" font-size="14" text-anchor="middle">%s</text>'
-                 % ((x0 + x1) / 2, c.height - 15, escape(xlabel)))
+                 % ((x0 + x1) / 2, HEIGHT - 15, escape(xlabel)))
         self.add('<text x="%.2f" y="%.2f" font-size="14" text-anchor="middle" transform="rotate(-90 15 %.2f)">%s</text>'
                  % (15.0, (y0 + y1) / 2, (y0 + y1) / 2, escape(ylabel)))
 
     def tostring(self):
-        c = self.cfg
         head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
                 '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                 'width="%d" height="%d" viewBox="0 0 %d %d">\n'
-                % (c.width, c.height, c.width, c.height))
+                % (WIDTH, HEIGHT, WIDTH, HEIGHT))
         return head + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def render_spectra(records, cfg: FigureConfig, path: str,
-                   split_policy: str | None = None, split_value=None) -> str:
+def render_spectra(records, path: str, split_policy: str | None = None,
+                   split_value=None) -> str:
     """Scatter plot of logarithmic spectra: marker at (ln|mu|, m).
 
     With a split policy, the lower part is drawn in the electron colour
@@ -156,28 +132,24 @@ def render_spectra(records, cfg: FigureConfig, path: str,
             pts.extend((float(x), ls.m, "pt") for x in ls.points)
     if not pts:
         raise ValueError("all eigenvalues were zeros-at-precision; nothing to draw")
-    xlo, xhi = _auto_range([p[0] for p in pts], cfg.x_range)
-    ylo, yhi = _auto_range([p[1] for p in pts], cfg.y_range)
-    cv = _Canvas(cfg, xlo, xhi, ylo, yhi)
+    xlo, xhi = _auto_range([p[0] for p in pts])
+    ylo, yhi = _auto_range([p[1] for p in pts])
+    cv = _Canvas(xlo, xhi, ylo, yhi)
     cv.axes("log magnitude", "matrix size")
-    colors = {"pt": cfg.marker_color, "electron": cfg.electron_color,
-              "train": cfg.train_color}
     for x, m, cls in pts:
         cv.add('<circle class="%s" cx="%.2f" cy="%.2f" r="%.2f" fill="%s"/>'
-               % (cls, cv.px(x), cv.py(m), cfg.marker_radius, colors[cls]))
+               % (cls, cv.px(x), cv.py(m), MARKER_RADIUS, MARKER_COLORS[cls]))
     _write_text(path, cv.tostring())
     return path
 
 
-def render_distribution(dist, cfg: FigureConfig, path: str) -> str:
+def render_distribution(dist, path: str) -> str:
     """Right-continuous step plot of an empirical distribution function."""
     if not dist.jumps:
         raise ValueError("empty distribution")
     xs = [float(x) for x in dist.jumps]
-    xlo, xhi = _auto_range(xs, cfg.x_range)
-    ylo, yhi = (0.0, 1.0) if cfg.y_range is None else \
-        (float(cfg.y_range[0]), float(cfg.y_range[1]))
-    cv = _Canvas(cfg, xlo, xhi, ylo, yhi)
+    xlo, xhi = _auto_range(xs)
+    cv = _Canvas(xlo, xhi, 0.0, 1.0)
     cv.axes("x", "cumulative weight")
     m = dist.m
     coords = [(xlo, 0.0)]
@@ -197,6 +169,10 @@ def render_distribution(dist, cfg: FigureConfig, path: str) -> str:
 
 
 def _write_text(path, text):
+    """Write ``text`` to ``path`` (creating its directory), or to stdout."""
+    if not path:
+        sys.stdout.write(text)
+        return
     d = os.path.dirname(path)
     if d:
         os.makedirs(d, exist_ok=True)
@@ -274,12 +250,11 @@ def _digits_to_bits(digits: int) -> int:
     return max(256, math.ceil(digits * math.log2(10)) + 64)
 
 
-def _add_common(p, need_func=True):
-    if need_func:
-        p.add_argument("--func", required=True,
-                       help="function token, e.g. geometric:1, exponential, "
-                            "rational2:2,1, catalan, user-moments:v1,v2,..., "
-                            "zeta-star, analytic-config:/path.json")
+def _add_common(p):
+    p.add_argument("--func", required=True,
+                   help="function token, e.g. geometric:1, exponential, "
+                        "rational2:2,1, catalan, user-moments:v1,v2,..., "
+                        "zeta-star, analytic-config:/path.json")
     p.add_argument("--l", default="1",
                    help="first matrix index (comma list allowed where "
                         "a check needs several)")
@@ -328,7 +303,6 @@ def build_parser():
     p.add_argument("--m-max", type=int, default=64)
     p.add_argument("--wl-file", default=None,
                    help="JSON file of reference growth rates per l")
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("figure", help="render an SVG figure")
     p.add_argument("kind", choices=("spectra", "dist"))
@@ -337,7 +311,6 @@ def build_parser():
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--policy", default=None,
                    help="split policy: largest-gap, threshold:C, quantile:Q")
-    p.add_argument("--format", choices=("svg",), default="svg")
     return ap
 
 
@@ -354,29 +327,17 @@ def _parse_policy(s):
     return head, (tail or None)
 
 
-def _make_stream(args, l, m_needed):
-    spec = parse_func_token(args.func)
+def _make_stream(args, spec, l, m_needed):
     bits = _digits_to_bits(args.digits)
     cache = args.cache_dir or default_cache_dir()
     return generate(spec, l + m_needed - 1, bits, cache_dir=cache)
 
 
-def _out_handle(args):
-    if args.out:
-        d = os.path.dirname(args.out)
-        if d:
-            os.makedirs(d, exist_ok=True)
-        return open(args.out, "w")
-    return None
-
-
-def _emit(args, text):
-    fh = _out_handle(args)
-    if fh is None:
-        sys.stdout.write(text)
-    else:
-        with fh:
-            fh.write(text)
+def _write_manifest(args, spec, l, m_grid, out):
+    man = build_manifest(spec.name, spec.spec_hash(), [l], m_grid,
+                         "digits=%d cap=%d" % (args.digits, args.prec_cap),
+                         [out], base_dir=os.path.dirname(out) or ".")
+    write_manifest(man, out + ".manifest.json")
 
 
 def _record_json(rec):
@@ -403,90 +364,32 @@ def _dyadic_grid(m_max, floor=2):
     return sorted(grid)
 
 
-def _cmd_coeffs(args):
+def _cmd_coeffs(args, spec):
     ls = _parse_l_list(args.l)
-    stream = _make_stream(args, max(ls), args.m_max)
-    lines = [
-        "function: %s" % stream.spec.name,
-        "spec_hash: %s" % stream.spec.spec_hash(),
-        "max_index: %d" % stream.max_index,
-        "precision_bits: %d" % stream.precision_bits,
-        "provenance: %s" % stream.provenance,
-    ]
+    stream = _make_stream(args, spec, max(ls), args.m_max)
     if args.out:
         recs = [json.dumps({"k": k,
                             "v": to_decimal(v, stream.precision_bits),
                             "bits": stream.precision_bits}, sort_keys=True)
                 for k, v in enumerate(stream.values)]
-        _emit(args, "\n".join(recs) + "\n")
-        print("\n".join(lines))
-    else:
-        print("\n".join(lines))
+        _write_text(args.out, "\n".join(recs) + "\n")
+    print("\n".join([
+        "function: %s" % stream.spec.name,
+        "spec_hash: %s" % stream.spec.spec_hash(),
+        "max_index: %d" % stream.max_index,
+        "precision_bits: %d" % stream.precision_bits,
+        "provenance: %s" % stream.provenance,
+    ]))
     return 0
 
 
-def _cmd_spectrum(args):
-    l = _parse_l_list(args.l)[0]
-    stream = _make_stream(args, l, args.m)
-    rec = compute_spectrum(stream, l, args.m, args.digits,
-                           prec_cap=args.prec_cap)
-    if args.format == "json":
-        _emit(args, json.dumps(_record_json(rec), sort_keys=True, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        spectra_csv([rec], buf)
-        _emit(args, buf.getvalue())
-    return 0
+def _record_for(args, spec, l, m):
+    stream = _make_stream(args, spec, l, m)
+    return compute_spectrum(stream, l, m, args.digits, prec_cap=args.prec_cap)
 
 
-def _cmd_sweep(args):
-    l = _parse_l_list(args.l)[0]
-    stream = _make_stream(args, l, args.m_max)
-    result = sweep(stream, l, range(args.m_min, args.m_max + 1), args.digits,
-                   jobs=args.jobs, prec_cap=args.prec_cap)
-    for m, err in sorted(result.failures.items()):
-        print("m=%d failed: %s" % (m, err), file=sys.stderr)
-    if args.format == "json":
-        doc = [_record_json(r) for r in result.records]
-        _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        spectra_csv(result.records, buf)
-        _emit(args, buf.getvalue())
-    if args.out:
-        man = build_manifest(
-            stream.spec.name, stream.spec.spec_hash(), [l],
-            [r.m for r in result.records],
-            "digits=%d cap=%d" % (args.digits, args.prec_cap),
-            [args.out], base_dir=os.path.dirname(args.out) or ".",
-        )
-        write_manifest(man, args.out + ".manifest.json")
-    return 0 if not result.failures else 2
-
-
-def _cmd_dist(args):
-    l = _parse_l_list(args.l)[0]
-    stream = _make_stream(args, l, args.m)
-    rec = compute_spectrum(stream, l, args.m, args.digits,
-                           prec_cap=args.prec_cap)
-    F = from_log_spectrum(log_spectrum(rec))
-    if args.format == "json":
-        doc = {
-            "l": l, "m": args.m,
-            "jumps": [to_decimal(x, F.precision_bits) for x in F.jumps],
-            "weight_per_jump": "1/%d" % F.m,
-            "missing_mass": str(F.missing_mass),
-        }
-        _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        distribution_csv(F, buf)
-        _emit(args, buf.getvalue())
-    return 0
-
-
-def _records_for(args, l, ms):
-    stream = _make_stream(args, l, max(ms))
+def _records_for(args, spec, l, ms):
+    stream = _make_stream(args, spec, l, max(ms))
     result = sweep(stream, l, ms, args.digits, jobs=args.jobs,
                    prec_cap=args.prec_cap)
     if result.failures:
@@ -500,7 +403,60 @@ def _dists_for(records):
     return {rec.m: from_log_spectrum(log_spectrum(rec)) for rec in records}
 
 
-def _cmd_check(args):
+def _json_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _cmd_spectrum(args, spec):
+    l = _parse_l_list(args.l)[0]
+    rec = _record_for(args, spec, l, args.m)
+    if args.format == "json":
+        _write_text(args.out, _json_text(_record_json(rec)))
+    else:
+        buf = io.StringIO()
+        spectra_csv([rec], buf)
+        _write_text(args.out, buf.getvalue())
+    return 0
+
+
+def _cmd_sweep(args, spec):
+    l = _parse_l_list(args.l)[0]
+    stream = _make_stream(args, spec, l, args.m_max)
+    result = sweep(stream, l, range(args.m_min, args.m_max + 1), args.digits,
+                   jobs=args.jobs, prec_cap=args.prec_cap)
+    for m, err in sorted(result.failures.items()):
+        print("m=%d failed: %s" % (m, err), file=sys.stderr)
+    if args.format == "json":
+        _write_text(args.out,
+                    _json_text([_record_json(r) for r in result.records]))
+    else:
+        buf = io.StringIO()
+        spectra_csv(result.records, buf)
+        _write_text(args.out, buf.getvalue())
+    if args.out:
+        _write_manifest(args, spec, l, [r.m for r in result.records],
+                        args.out)
+    return 0 if not result.failures else 2
+
+
+def _cmd_dist(args, spec):
+    l = _parse_l_list(args.l)[0]
+    F = _dists_for([_record_for(args, spec, l, args.m)])[args.m]
+    if args.format == "json":
+        _write_text(args.out, _json_text({
+            "l": l, "m": args.m,
+            "jumps": [to_decimal(x, F.precision_bits) for x in F.jumps],
+            "weight_per_jump": "1/%d" % F.m,
+            "missing_mass": str(F.missing_mass),
+        }))
+    else:
+        buf = io.StringIO()
+        distribution_csv(F, buf)
+        _write_text(args.out, buf.getvalue())
+    return 0
+
+
+def _cmd_check(args, spec):
     cid = args.check_id
     ls = _parse_l_list(args.l)
     l = ls[0]
@@ -508,7 +464,7 @@ def _cmd_check(args):
     W = constants.growth_rate(l) if constants else None
 
     if cid in ("v2", "v3"):
-        stream = _make_stream(args, l, args.m_max)
+        stream = _make_stream(args, spec, l, args.m_max)
         bits = _digits_to_bits(args.digits)
         dets = []
         for m in range(1, args.m_max + 1):
@@ -519,22 +475,22 @@ def _cmd_check(args):
             report = replace(estimate_constant_factor(dets, W),
                              check_id="v2", l=l)
     elif cid == "v5":
-        records = _records_for(args, l, range(1, args.m_max + 1))
+        records = _records_for(args, spec, l, range(1, args.m_max + 1))
         report = check_eigenvalue_product_rate(records)
     elif cid == "v6":
-        records = _records_for(args, l, _dyadic_grid(args.m_max))
+        records = _records_for(args, spec, l, _dyadic_grid(args.m_max))
         report = check_mean_trend(_dists_for(records), W, l=l)
     elif cid in ("2A", "2B"):
-        records = _records_for(args, l, _dyadic_grid(args.m_max))
+        records = _records_for(args, spec, l, _dyadic_grid(args.m_max))
         upper, lower = check_spectrum_divergence(
             [log_spectrum(r) for r in records])
         report = upper if cid == "2A" else lower
     elif cid == "2C":
-        records = _records_for(args, l, _dyadic_grid(args.m_max, floor=4))
+        records = _records_for(args, spec, l, _dyadic_grid(args.m_max, floor=4))
         report = replace(check_distribution_convergence(_dists_for(records)),
                          l=l)
     elif cid == "2D":
-        records = _records_for(args, l, _dyadic_grid(args.m_max))
+        records = _records_for(args, spec, l, _dyadic_grid(args.m_max))
         report = replace(check_tail_divergence(_dists_for(records)), l=l)
     else:   # 2E
         if len(ls) < 2:
@@ -542,43 +498,34 @@ def _cmd_check(args):
                              "e.g. --l 1,2")
         by_l = {}
         for li in ls:
-            records = _records_for(args, li, _dyadic_grid(args.m_max))
+            records = _records_for(args, spec, li, _dyadic_grid(args.m_max))
             by_l[li] = _dists_for(records)
         report = check_distribution_coincidence(by_l)
 
     buf = io.StringIO()
     write_report(report, buf)
-    _emit(args, buf.getvalue())
+    _write_text(args.out, buf.getvalue())
     print("check %s: %s" % (cid, report.verdict), file=sys.stderr)
     return 1 if report.verdict == CONTRADICTED else 0
 
 
-def _cmd_figure(args):
+def _cmd_figure(args, spec):
     l = _parse_l_list(args.l)[0]
-    cfg = FigureConfig()
     policy, pvalue = _parse_policy(args.policy)
     out = args.out
     if args.kind == "spectra":
         if not args.m_max:
             raise ValueError("figure spectra needs --m-max")
-        records = _records_for(args, l, range(1, args.m_max + 1))
+        records = _records_for(args, spec, l, range(1, args.m_max + 1))
         out = out or "spectra_l%d_m%d.svg" % (l, args.m_max)
-        render_spectra(records, cfg, out, split_policy=policy,
-                       split_value=pvalue)
+        render_spectra(records, out, split_policy=policy, split_value=pvalue)
     else:
         if not args.m:
             raise ValueError("figure dist needs --m")
-        stream = _make_stream(args, l, args.m)
-        rec = compute_spectrum(stream, l, args.m, args.digits,
-                               prec_cap=args.prec_cap)
-        F = from_log_spectrum(log_spectrum(rec))
+        F = _dists_for([_record_for(args, spec, l, args.m)])[args.m]
         out = out or "dist_l%d_m%d.svg" % (l, args.m)
-        render_distribution(F, cfg, out)
-    man = build_manifest(args.func, parse_func_token(args.func).spec_hash(),
-                         [l], [args.m or args.m_max],
-                         "digits=%d cap=%d" % (args.digits, args.prec_cap),
-                         [out], base_dir=os.path.dirname(out) or ".")
-    write_manifest(man, out + ".manifest.json")
+        render_distribution(F, out)
+    _write_manifest(args, spec, l, [args.m or args.m_max], out)
     print(out)
     return 0
 
@@ -601,7 +548,7 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, parse_func_token(args.func))
     except BrokenPipeError:
         return 2
     except Exception as exc:   # CLI boundary: report, do not traceback

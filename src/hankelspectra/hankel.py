@@ -34,25 +34,7 @@ class StreamTooShortError(ValueError):
 
 
 @dataclass(frozen=True)
-class HankelSpec:
-    l: int
-    m: int
-    stream: CoeffStream
-
-    def __post_init__(self):
-        if self.l < 1 or self.m < 1:
-            raise ValueError("l and m must be >= 1")
-        top = self.l + self.m - 1
-        if self.stream.max_index < top:
-            raise StreamTooShortError(
-                "stream ends at index %d but index %d is required"
-                % (self.stream.max_index, top)
-            )
-
-
-@dataclass(frozen=True)
 class SignedHankel:
-    spec: HankelSpec
     sign: int
     matrix: RealMatrix
 
@@ -65,43 +47,44 @@ def sign_prefactor(m: int) -> int:
     return 1 if exponent else -1
 
 
-def _coeff_by_total(stream, l, m):
+def _core_rows(stream, l, m, negate=False):
+    """Rows of the (optionally negated) core: row i holds c[l+m-1-i-j]."""
+    if l < 1 or m < 1:
+        raise ValueError("l and m must be >= 1")
+    top = l + m - 1
+    if stream.max_index < top:
+        raise StreamTooShortError(
+            "stream ends at index %d but index %d is required"
+            % (stream.max_index, top)
+        )
     # one mpf object per index so symmetric entries are bit-identical
-    return {k: theta(stream, k) for k in range(l - m + 1, l + m)}
+    coeff = {k: theta(stream, k) for k in range(l - m + 1, l + m)}
+    if negate:
+        coeff = {k: make_mpf(mpf_neg(v._mpf_)) for k, v in coeff.items()}
+    return tuple(tuple(coeff[top - i - j] for j in range(m)) for i in range(m))
 
 
 def hankel_core(stream: CoeffStream, l: int, m: int) -> RealMatrix:
     """Unsigned core: entry(i, j) = c[l + m + 1 - i - j] (1-based)."""
-    HankelSpec(l=l, m=m, stream=stream)
-    coeff = _coeff_by_total(stream, l, m)
-    rows = tuple(
-        tuple(coeff[l + m - 1 - i - j] for j in range(m)) for i in range(m)
-    )
-    return RealMatrix(entries=rows, symmetric=True)
+    return RealMatrix(entries=_core_rows(stream, l, m), symmetric=True)
 
 
 def signed_hankel(stream: CoeffStream, l: int, m: int) -> SignedHankel:
     """The signed Hankel matrix with its sign prefactor recorded."""
-    spec = HankelSpec(l=l, m=m, stream=stream)
-    sign = sign_prefactor(m)
-    coeff = _coeff_by_total(stream, l, m)
-    if sign < 0:
-        coeff = {k: make_mpf(mpf_neg(v._mpf_)) for k, v in coeff.items()}
-    rows = tuple(
-        tuple(coeff[l + m - 1 - i - j] for j in range(m)) for i in range(m)
-    )
-    return SignedHankel(spec=spec, sign=sign,
+    sign = sign_prefactor(max(m, 1))    # m < 1 is rejected by _core_rows
+    rows = _core_rows(stream, l, m, negate=sign < 0)
+    return SignedHankel(sign=sign,
                         matrix=RealMatrix(entries=rows, symmetric=True))
 
 
 def raw_toeplitz(stream: CoeffStream, l: int, m: int) -> RealMatrix:
-    """Unsigned Toeplitz form: entry(i, j) = c[l + j - i] (any basing)."""
-    HankelSpec(l=l, m=m, stream=stream)
-    coeff = _coeff_by_total(stream, l, m)
-    rows = tuple(
-        tuple(coeff[l + j - i] for j in range(m)) for i in range(m)
-    )
-    return RealMatrix(entries=rows, symmetric=False)
+    """Unsigned Toeplitz form: entry(i, j) = c[l + j - i] (any basing).
+
+    This is the core with its columns reversed.
+    """
+    rows = _core_rows(stream, l, m)
+    return RealMatrix(entries=tuple(row[::-1] for row in rows),
+                      symmetric=False)
 
 
 @dataclass(frozen=True)

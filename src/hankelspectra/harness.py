@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpf, workprec
 
 from .dist import mean, sup_distance, tail_sums
-from .mpnum import to_decimal
+from .mpnum import _within_rel, to_decimal
 
 SUPPORTED = "SUPPORTED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -133,6 +133,17 @@ def _dyadic_tail(ms):
     while chain[-1] % 2 == 0 and chain[-1] // 2 in have:
         chain.append(chain[-1] // 2)
     return list(reversed(chain))
+
+
+def _shrink_verdict(vals):
+    """SUPPORTED if vals never increase, CONTRADICTED if they never decrease
+    and end above their start, INCONCLUSIVE otherwise."""
+    steps = list(zip(vals, vals[1:]))
+    if all(b <= a for a, b in steps):
+        return SUPPORTED
+    if all(b >= a for a, b in steps) and vals[-1] > vals[0]:
+        return CONTRADICTED
+    return INCONCLUSIVE
 
 
 def _sign_note(signs):
@@ -284,17 +295,13 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
     for rec in records:
         wp = rec.precision_used + 32
         with workprec(wp):
-            prod = mpf(1)
-            for mu in rec.eigenvalues:
-                prod = prod * mu
-            scale = max(abs(prod), abs(rec.det))
-            if scale != 0:
-                if abs(abs(prod) - abs(rec.det)) > mpf(10) ** PRODUCT_IDENTITY_EXP * scale:
-                    raise ProductIdentityError(
-                        "l=%d m=%d: |eigenvalue product| and |determinant| "
-                        "disagree beyond 1e%d"
-                        % (rec.l, rec.m, PRODUCT_IDENTITY_EXP)
-                    )
+            prod = mp.fprod(rec.eigenvalues)
+            if not _within_rel(abs(prod), abs(rec.det), PRODUCT_IDENTITY_EXP):
+                raise ProductIdentityError(
+                    "l=%d m=%d: |eigenvalue product| and |determinant| "
+                    "disagree beyond 1e%d"
+                    % (rec.l, rec.m, PRODUCT_IDENTITY_EXP)
+                )
             root = +(abs(prod) ** (mpf(1) / rec.m))
         pairs.append((rec.m, prod))
         roots.append((rec.m, root))
@@ -338,14 +345,7 @@ def check_mean_trend(dists_by_m, growth_rate, l=None) -> TrendReport:
         chain = _dyadic_tail(ms)
         gd = dict(gaps)
         tail = [gd[m] for m in chain]
-        if len(tail) < 2:
-            verdict = INCONCLUSIVE
-        elif all(b <= a for a, b in zip(tail, tail[1:])):
-            verdict = SUPPORTED
-        elif all(b >= a for a, b in zip(tail, tail[1:])) and tail[-1] > tail[0]:
-            verdict = CONTRADICTED
-        else:
-            verdict = INCONCLUSIVE
+        verdict = _shrink_verdict(tail) if len(tail) >= 2 else INCONCLUSIVE
     return TrendReport(
         check_id="v6", l=l, m_grid=tuple(ms),
         series={"mean": tuple(means), "gap_to_log_rate": tuple(gaps)},
@@ -409,13 +409,7 @@ def check_distribution_convergence(dists_by_m) -> TrendReport:
     for m, m2 in levels:
         d = sup_distance(dists_by_m[m], dists_by_m[m2])
         seq.append((m, mpf(d.numerator) / d.denominator))
-    vals = [v for _, v in seq]
-    if all(b <= a for a, b in zip(vals, vals[1:])):
-        verdict = SUPPORTED
-    elif all(b >= a for a, b in zip(vals, vals[1:])) and vals[-1] > vals[0]:
-        verdict = CONTRADICTED
-    else:
-        verdict = INCONCLUSIVE
+    verdict = _shrink_verdict([v for _, v in seq])
     return TrendReport(
         check_id="2C", l=None, m_grid=tuple(m for m, _ in levels),
         series={"sup_distance_m_2m": tuple(seq)},
@@ -485,13 +479,7 @@ def check_distribution_coincidence(dists_by_l) -> TrendReport:
                 seq.append((m, mpf(d.numerator) / d.denominator))
             key = "l%d-l%d" % (l1, l2)
             series[key] = tuple(seq)
-            vals = [v for _, v in seq]
-            if all(b <= a for a, b in zip(vals, vals[1:])):
-                pair_verdicts[key] = SUPPORTED
-            elif all(b >= a for a, b in zip(vals, vals[1:])) and vals[-1] > vals[0]:
-                pair_verdicts[key] = CONTRADICTED
-            else:
-                pair_verdicts[key] = INCONCLUSIVE
+            pair_verdicts[key] = _shrink_verdict([v for _, v in seq])
     if all(v == SUPPORTED for v in pair_verdicts.values()):
         verdict = SUPPORTED
     elif any(v == CONTRADICTED for v in pair_verdicts.values()):

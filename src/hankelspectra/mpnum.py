@@ -151,14 +151,25 @@ def trace(A: RealMatrix, prec: int) -> mpf:
     return make_mpf(mpf_pos(acc, prec, _RND))
 
 
+def _sum_sq(rows, wp):
+    # sum of squares of raw entries in row order, rounded to wp at each step
+    acc = fzero
+    for row in rows:
+        for r in row:
+            acc = mpf_add(acc, mpf_mul(r, r, wp, _RND), wp, _RND)
+    return acc
+
+
 def frobenius_norm(A: RealMatrix, prec: int) -> mpf:
     wp = guard_prec(prec, A.dim)
-    acc = fzero
-    for row in A.entries:
-        for x in row:
-            r = x._mpf_
-            acc = mpf_add(acc, mpf_mul(r, r, wp, _RND), wp, _RND)
+    acc = _sum_sq(A.raw_rows(), wp)
     return make_mpf(mpf_pos(mpf_sqrt(acc, wp, _RND), prec, _RND))
+
+
+def _within_rel(x: mpf, y: mpf, exp: int) -> bool:
+    """|x - y| <= 10^exp * max(|x|, |y|) at the current precision; 0 == 0."""
+    scale = max(abs(x), abs(y))
+    return scale == 0 or abs(x - y) <= mpf(10) ** exp * scale
 
 
 def det_lu(A: RealMatrix, prec: int) -> mpf:
@@ -241,10 +252,7 @@ def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
     wp = guard_prec(prec, n)
     a = A.raw_rows()
 
-    fro2 = fzero
-    for i in range(n):
-        for j in range(n):
-            fro2 = mpf_add(fro2, mpf_mul(a[i][j], a[i][j], wp, _RND), wp, _RND)
+    fro2 = _sum_sq(a, wp)
     traw = tol._mpf_ if isinstance(tol, mpf) else mpf(tol)._mpf_
     thresh2 = mpf_mul(mpf_mul(traw, traw, wp, _RND), fro2, wp, _RND)
 

@@ -37,7 +37,9 @@ from .hankel import signed_hankel
 from .mpnum import (
     DEFAULT_PREC_CAP,
     DEFAULT_START_PREC,
+    ConvergenceError,
     PrecisionCapError,
+    _within_rel,
     adaptive_solve,
     det_lu,
     frobenius_norm,
@@ -104,29 +106,23 @@ class SweepResult:
 def _identity_state(eigs, det, fnorm, prec):
     """Classify the product/determinant identity at the given precision.
 
-    Returns (ok, zero_at_precision_count).  With no zeros-at-precision the
-    check is a strict relative comparison; otherwise both sides must vanish
-    below the scale reachable by a product containing a roundoff-level
-    factor.
+    Returns (ok, zero_at_precision_count, zero floor).  With no
+    zeros-at-precision the check is a strict relative comparison; otherwise
+    both sides must vanish below the scale reachable by a product containing
+    a roundoff-level factor.  The floor is exact: a 64-bit norm times a
+    power of two.
     """
-    wp = prec + 32
-    with workprec(wp):
+    with workprec(prec + 32):
         floor = fnorm * mpf(2) ** (-(prec - ZERO_FLOOR_SLACK_BITS))
         zeros = sum(1 for mu in eigs if abs(mu) <= floor)
-        prod = mpf(1)
-        for mu in eigs:
-            prod = prod * mu
+        prod = mp.fprod(eigs)
         if zeros == 0:
-            scale = max(abs(prod), abs(det))
-            if scale == 0:
-                return True, 0, prod
-            ok = abs(prod - det) <= mpf(10) ** IDENTITY_REL_EXP * scale
-            return ok, 0, +prod
+            return _within_rel(prod, det, IDENTITY_REL_EXP), 0, floor
         bound = mpf(2) ** (2 * len(eigs))
         for mu in eigs:
             bound = bound * max(abs(mu), floor)
         ok = abs(det) <= bound and abs(prod) <= bound
-        return ok, zeros, +prod
+        return ok, zeros, floor
 
 
 def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
@@ -142,18 +138,15 @@ def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
     while prec <= prec_cap:
         res = adaptive_solve(A, target_digits, start_prec=prec, prec_cap=prec_cap)
         det = det_lu(A, res.precision_used)
-        ok, zeros, _ = _identity_state(res.eigenvalues, det, fnorm,
-                                       res.precision_used)
+        ok, zeros, floor = _identity_state(res.eigenvalues, det, fnorm,
+                                           res.precision_used)
         if ok and not (analytic and zeros):
-            with workprec(res.precision_used):
-                thr = +(fnorm * mpf(2) ** (-(res.precision_used
-                                             - ZERO_FLOOR_SLACK_BITS)))
             return SpectrumRecord(
                 l=l, m=m, function_id=stream.spec.name,
                 eigenvalues=res.eigenvalues,
                 precision_used=res.precision_used,
                 target_digits=target_digits, det=det,
-                zero_threshold=thr, sign=sh.sign,
+                zero_threshold=floor, sign=sh.sign,
             )
         if analytic and zeros:
             last_reason = ("%d eigenvalue(s) not resolvable above the "
@@ -285,7 +278,8 @@ def _sweep_worker(args):
         rec = compute_spectrum(stream, l, m, target_digits,
                                start_prec=start_prec, prec_cap=prec_cap)
         return m, rec, None
-    except (IdentityError, PrecisionCapError, ValueError) as exc:
+    except (IdentityError, PrecisionCapError, ConvergenceError,
+            ValueError) as exc:
         return m, None, "%s: %s" % (type(exc).__name__, exc)
 
 

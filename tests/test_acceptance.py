@@ -223,7 +223,7 @@ def run_qualitative_measurements(spec, dyadic, pairing_m, coincidence_ms,
     """
     import tempfile
     import xml.etree.ElementTree as ET
-    from hankelspectra.figio import FigureConfig, render_spectra
+    from hankelspectra.figio import render_spectra
 
     stream = generate(spec, 1 + max(dyadic) - 1, prec)
     records = {m: compute_spectrum(stream, 1, m, digits) for m in dyadic}
@@ -242,8 +242,7 @@ def run_qualitative_measurements(spec, dyadic, pairing_m, coincidence_ms,
         {1: {m: dists[m] for m in coincidence_ms}, 2: dists2})
     with tempfile.TemporaryDirectory() as td:
         out = os.path.join(td, "spectra.svg")
-        render_spectra(list(records.values()), FigureConfig(), out,
-                       split_policy="largest-gap")
+        render_spectra(list(records.values()), out, split_policy="largest-gap")
         root = ET.parse(out).getroot()
         marks = root.findall(".//{http://www.w3.org/2000/svg}circle")
         classes = {c.get("class") for c in marks}

@@ -203,18 +203,20 @@ class TestCache:
         assert b.max_index == 4 and len(b.values) == 5
 
     def test_corrupted_cache_detected(self, tmp_path):
-        cd = str(tmp_path)
-        generate(builtin_spec("exponential"), 4, 128, cache_dir=cd)
-        jsonl = [f for f in os.listdir(cd) if f.endswith(".jsonl")][0]
-        path = os.path.join(cd, jsonl)
-        lines = open(path).read().splitlines()
-        rec = json.loads(lines[2])
-        rec["k"] = 17
-        lines[2] = json.dumps(rec, sort_keys=True)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with pytest.raises(CacheCorruptionError):
+        # a gap in the indices, then a malformed decimal
+        for i, (key, bad) in enumerate((("k", 17), ("v", "1.0x"))):
+            cd = str(tmp_path / str(i))
             generate(builtin_spec("exponential"), 4, 128, cache_dir=cd)
+            jsonl = [f for f in os.listdir(cd) if f.endswith(".jsonl")][0]
+            path = os.path.join(cd, jsonl)
+            lines = open(path).read().splitlines()
+            rec = json.loads(lines[2])
+            rec[key] = bad
+            lines[2] = json.dumps(rec, sort_keys=True)
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with pytest.raises(CacheCorruptionError):
+                generate(builtin_spec("exponential"), 4, 128, cache_dir=cd)
 
     def test_different_precision_not_reused(self, tmp_path):
         cd = str(tmp_path)

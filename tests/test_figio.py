@@ -19,7 +19,6 @@ from hankelspectra import (
     sweep,
 )
 from hankelspectra.figio import (
-    FigureConfig,
     build_manifest,
     cli,
     render_distribution,
@@ -44,14 +43,14 @@ class TestRenderSpectra:
         st = generate(builtin_spec("user-moments", "0", "1"), 1, 128)
         rec = compute_spectrum(st, 1, 1, 30)
         out = str(tmp_path / "one.svg")
-        render_spectra([rec], FigureConfig(), out)
+        render_spectra([rec], out)
         cs = circles(out)
         assert len(cs) == 1
 
     def test_marker_count_m1_to_4(self, exp_stream, tmp_path):
         res = sweep(exp_stream, 1, range(1, 5), 30)
         out = str(tmp_path / "four.svg")
-        render_spectra(res.records, FigureConfig(), out)
+        render_spectra(res.records, out)
         assert len(circles(out)) == 10      # 1+2+3+4, no zeros excluded
 
     def test_zero_exclusion(self, geo1_stream, tmp_path):
@@ -60,34 +59,33 @@ class TestRenderSpectra:
         zeros = sum(r.zero_count for r in res.records)
         assert zeros > 0
         out = str(tmp_path / "geo.svg")
-        render_spectra(res.records, FigureConfig(), out)
+        render_spectra(res.records, out)
         assert len(circles(out)) == total - zeros
 
     def test_split_coloring(self, exp_stream, tmp_path):
         res = sweep(exp_stream, 1, range(3, 7), 30)
         out = str(tmp_path / "colored.svg")
-        render_spectra(res.records, FigureConfig(), out,
-                       split_policy="largest-gap")
+        render_spectra(res.records, out, split_policy="largest-gap")
         classes = {c.get("class") for c in circles(out)}
         assert "electron" in classes and "train" in classes
 
     def test_well_formed_xml(self, exp_stream, tmp_path):
         res = sweep(exp_stream, 1, range(1, 4), 30)
         out = str(tmp_path / "fig.svg")
-        render_spectra(res.records, FigureConfig(), out)
+        render_spectra(res.records, out)
         tree = ET.parse(out)     # raises on malformed XML
         assert tree.getroot().tag == "%ssvg" % SVG_NS
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            render_spectra([], FigureConfig(), str(tmp_path / "x.svg"))
+            render_spectra([], str(tmp_path / "x.svg"))
 
 
 class TestRenderDistribution:
     def test_single_jump_step(self, tmp_path):
         F = step_distribution([mpf(0)], 1)
         out = str(tmp_path / "step1.svg")
-        render_distribution(F, FigureConfig(), out)
+        render_distribution(F, out)
         (pl,) = polylines(out)
         pts = [tuple(map(float, p.split(",")))
                for p in pl.get("points").split()]
@@ -101,7 +99,7 @@ class TestRenderDistribution:
     def test_two_equal_jumps(self, tmp_path):
         F = step_distribution([mpf(-1), mpf(1)], 2)
         out = str(tmp_path / "step2.svg")
-        render_distribution(F, FigureConfig(), out)
+        render_distribution(F, out)
         (pl,) = polylines(out)
         ys = [float(p.split(",")[1]) for p in pl.get("points").split()]
         assert len(set(ys)) == 3            # levels 0, 1/2, 1
@@ -111,24 +109,12 @@ class TestRenderDistribution:
         rec = compute_spectrum(exp_stream, 1, 6, 30)
         F = from_log_spectrum(log_spectrum(rec))
         out = str(tmp_path / "f16.svg")
-        render_distribution(F, FigureConfig(), out)
+        render_distribution(F, out)
         (pl,) = polylines(out)
         pts = [tuple(map(float, p.split(",")))
                for p in pl.get("points").split()]
         assert [p[0] for p in pts] == sorted(p[0] for p in pts)
         assert [p[1] for p in pts] == sorted((p[1] for p in pts), reverse=True)
-
-
-class TestFigureConfig:
-    def test_bad_dimensions(self):
-        with pytest.raises(ValueError):
-            FigureConfig(width=0)
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            FigureConfig(x_range=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            FigureConfig(x_range=(0.0, float("inf")))
 
 
 class TestManifest:
@@ -235,6 +221,24 @@ class TestCli:
         assert rc == 0
         assert len(circles(out)) == 6
         assert verify_manifest(out + ".manifest.json") == []
+
+    def test_manifest_function_id_from_parsed_spec(self, tmp_path):
+        # 1/(1-s) has rank-one Hankel matrices, so only m=1 is resolvable
+        cfg = tmp_path / "inv.json"
+        cfg.write_text(json.dumps({"name": "inverse-linear",
+                                   "expression": "1/(1-s)",
+                                   "ring_radius": "0.5",
+                                   "analyticity_radius": "1"}))
+        common = ["--func", "analytic-config:%s" % cfg, "--l", "1",
+                  "--m-max", "1", "--cache-dir", str(tmp_path / "cache")]
+        fig, csv_out = str(tmp_path / "fig.svg"), str(tmp_path / "s.csv")
+        assert cli(["figure", "spectra"] + common + ["--out", fig]) == 0
+        assert cli(["sweep"] + common + ["--out", csv_out]) == 0
+        docs = [json.loads(open(p + ".manifest.json").read())
+                for p in (fig, csv_out)]
+        assert docs[0]["function_id"] == docs[1]["function_id"] == \
+            "inverse-linear"
+        assert docs[0]["spec_hash"] == docs[1]["spec_hash"]
 
     def test_dist_csv(self, capsys):
         rc = cli(["dist", "--func", "exponential", "--l", "1", "--m", "3"])

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 from mpmath import mpf, workprec
+from mpmath.libmp import mpf_neg
 
 from hankelspectra import (
     builtin_spec,
@@ -92,12 +93,13 @@ class TestRawToeplitz:
         assert t.entry(1, 1) == theta(exp_stream, 1)
 
     def test_column_reversal_reproduces_core(self, exp_stream):
-        l, m = 2, 4
-        t = raw_toeplitz(exp_stream, l, m)
-        h = hankel_core(exp_stream, l, m)
-        for i in range(m):
-            for j in range(m):
-                assert t.entry(i, m - 1 - j)._mpf_ == h.entry(i, j)._mpf_
+        # m=1, l<m (zero-padded negative indices), l=m and l>m
+        for l, m in ((1, 1), (3, 1), (2, 4), (1, 5), (4, 4), (6, 3)):
+            t = raw_toeplitz(exp_stream, l, m)
+            h = hankel_core(exp_stream, l, m)
+            for i in range(m):
+                for j in range(m):
+                    assert t.entry(i, m - 1 - j)._mpf_ == h.entry(i, j)._mpf_
 
 
 class TestDetRelation:
@@ -135,8 +137,13 @@ class TestDetRelation:
         vals = [str(rng.uniform(-1, 1)) for _ in range(12)]
         st = generate(builtin_spec("user-moments", *vals), 11, 256)
         for l, m in ((1, 2), (2, 3), (3, 4), (1, 5)):
-            ds = det_lu(signed_hankel(st, l, m).matrix, 256)
-            dc = det_lu(hankel_core(st, l, m), 256)
+            sh, core = signed_hankel(st, l, m), hankel_core(st, l, m)
+            # entrywise, bit for bit: signed = sign * core
+            for srow, crow in zip(sh.matrix.entries, core.entries):
+                assert [x._mpf_ for x in srow] == \
+                    [v._mpf_ if sh.sign > 0 else mpf_neg(v._mpf_) for v in crow]
+            ds = det_lu(sh.matrix, 256)
+            dc = det_lu(core, 256)
             s = sign_prefactor(m) ** m
             with workprec(300):
                 assert abs(ds - s * dc) <= mpf(10) ** -30 * max(abs(ds), abs(dc))

@@ -228,6 +228,16 @@ class TestDistributionConvergence:
         rep = check_distribution_convergence({8: A, 16: B, 32: C, 64: D})
         assert rep.verdict == CONTRADICTED
 
+    def test_mixed_inconclusive(self):
+        A = single_level_dist([0] * 10, 10)
+        B = single_level_dist([0] * 7 + [1] * 3, 10)     # d(A,B) = 0.3
+        C = single_level_dist([0] * 8 + [1] * 2, 10)     # d(B,C) = 0.1
+        D = single_level_dist([0] * 10, 10)              # d(C,D) = 0.2
+        rep = check_distribution_convergence({8: A, 16: B, 32: C, 64: D})
+        assert [float(v) for _, v in rep.series["sup_distance_m_2m"]] == \
+            [0.3, 0.1, 0.2]
+        assert rep.verdict == INCONCLUSIVE
+
     def test_needs_three_levels(self):
         F = single_level_dist([0], 1)
         with pytest.raises(ValueError):

@@ -19,6 +19,8 @@ from hankelspectra import (
     trace,
 )
 from hankelspectra import analytic_spec, signed_hankel
+from hankelspectra import spectra as spectra_mod
+from hankelspectra.mpnum import ConvergenceError
 
 from conftest import bisect_roots, char_poly
 
@@ -198,6 +200,21 @@ class TestSweep:
         assert 1 not in res.failures
         assert res.failures, "expected at least one capped failure"
         assert [r.m for r in res.records] + sorted(res.failures) == [1, 2, 3]
+
+    def test_convergence_failure_recorded_without_abort(self, exp_stream,
+                                                        monkeypatch):
+        solve = spectra_mod.adaptive_solve
+
+        def failing_at_3(A, *args, **kwargs):
+            if A.dim == 3:
+                raise ConvergenceError("Jacobi did not converge")
+            return solve(A, *args, **kwargs)
+
+        monkeypatch.setattr(spectra_mod, "adaptive_solve", failing_at_3)
+        res = sweep(exp_stream, 1, range(1, 6), 30, jobs=1)
+        assert [r.m for r in res.records] == [1, 2, 4, 5]
+        assert list(res.failures) == [3]
+        assert res.failures[3].startswith("ConvergenceError")
 
     def test_stream_coverage_validated(self, exp_stream):
         with pytest.raises(ValueError, match="index"):
