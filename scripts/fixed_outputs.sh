@@ -13,6 +13,9 @@
 #
 #   diff -r OUT_BEFORE OUT_AFTER
 #
+# A change that may move last places is compared number by number with
+# scripts/compare_outputs.py OUT_BEFORE OUT_AFTER instead.
+#
 # The zeta-star checks dominate the run time (under a minute on one core).
 set -u
 

@@ -519,13 +519,15 @@ def _cmd_figure(args, spec):
         records = _records_for(args, spec, l, range(1, args.m_max + 1))
         out = out or "spectra_l%d_m%d.svg" % (l, args.m_max)
         render_spectra(records, out, split_policy=policy, split_value=pvalue)
+        m_grid = [r.m for r in records]
     else:
         if not args.m:
             raise ValueError("figure dist needs --m")
         F = _dists_for([_record_for(args, spec, l, args.m)])[args.m]
         out = out or "dist_l%d_m%d.svg" % (l, args.m)
         render_distribution(F, out)
-    _write_manifest(args, spec, l, [args.m or args.m_max], out)
+        m_grid = [args.m]
+    _write_manifest(args, spec, l, m_grid, out)
     print(out)
     return 0
 

@@ -2,9 +2,9 @@
 
 Scalars are mpmath ``mpf`` values (sign / significand / exponent with an
 unbounded exponent range), so quantities as extreme as e^(+-1000) never
-overflow.  All hot loops run on the raw libmp tuples with an explicit
-working precision, which keeps the routines independent of the global
-mpmath context and safe to call concurrently from worker processes.
+overflow.  All hot loops run on raw libmp tuples or Python ints with an
+explicit working precision, which keeps the routines independent of the
+global mpmath context and safe to call concurrently from worker processes.
 
 Three solvers are provided:
 
@@ -16,9 +16,14 @@ Three solvers are provided:
 Cyclic Jacobi is used deliberately instead of tridiagonalisation + QL: it
 delivers much better *relative* accuracy for eigenvalues whose magnitudes
 span hundreds of orders, which is exactly the regime the spectrum sweeps
-operate in.  Every routine computes internally with ``prec + 32 +
-2*ceil(log2(m))`` guard bits to absorb pivot growth and rotation roundoff,
-then rounds results to the requested precision.
+operate in.  ``det_lu``, ``trace`` and ``frobenius_norm`` compute in
+floating point with ``prec + 32 + 2*ceil(log2(m))`` guard bits and round
+results to the requested precision.  Jacobi runs in fixed point instead:
+one power of two scales the matrix to norm at most 1, every entry becomes
+an integer with those guard bits plus 16 more as fraction bits, and each
+update is an integer product followed by a floor shift.  Its absolute
+error is about 2^-(prec+48) * ||A||_F, below the zero floor
+||A||_F * 2^-(prec-16) under which an eigenvalue counts as zero.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    from_man_exp,
     from_str,
     fone,
     fzero,
@@ -35,7 +41,6 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_gt,
-    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pos,
@@ -151,18 +156,12 @@ def trace(A: RealMatrix, prec: int) -> mpf:
     return make_mpf(mpf_pos(acc, prec, _RND))
 
 
-def _sum_sq(rows, wp):
-    # sum of squares of raw entries in row order, rounded to wp at each step
-    acc = fzero
-    for row in rows:
-        for r in row:
-            acc = mpf_add(acc, mpf_mul(r, r, wp, _RND), wp, _RND)
-    return acc
-
-
 def frobenius_norm(A: RealMatrix, prec: int) -> mpf:
     wp = guard_prec(prec, A.dim)
-    acc = _sum_sq(A.raw_rows(), wp)
+    acc = fzero
+    for row in A.raw_rows():
+        for r in row:
+            acc = mpf_add(acc, mpf_mul(r, r, wp, _RND), wp, _RND)
     return make_mpf(mpf_pos(mpf_sqrt(acc, wp, _RND), prec, _RND))
 
 
@@ -213,6 +212,41 @@ def det_lu(A: RealMatrix, prec: int) -> mpf:
     return make_mpf(mpf_pos(det, prec, _RND))
 
 
+def _to_fixed(raw, shift):
+    """Round-to-nearest integer of raw * 2^shift (ties away from zero)."""
+    sign, man, exp, _ = raw
+    k = exp + shift
+    v = man << k if k >= 0 else (man + (1 << (-k - 1))) >> -k
+    return -v if sign else v
+
+
+def _exactly_singular(A: RealMatrix) -> bool:
+    """True when det(A) is exactly 0, decided by fraction-free elimination.
+
+    The entries are dyadic rationals, so one power of two turns them into
+    integers, and Bareiss elimination finds a zero pivot column exactly.
+    """
+    rows = A.raw_rows()
+    low = min((r[2] for row in rows for r in row if r[1]), default=None)
+    if low is None:
+        return True
+    a = [[_to_fixed(r, -low) for r in row] for row in rows]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return True
+        a[k], a[piv] = a[piv], a[k]
+        ak, akk = a[k], a[k][k]
+        for i in range(k + 1, n):
+            ai, aik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+        prev = akk
+    return False
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """Sorted-ascending eigenvalues plus the precision/residual they carry."""
@@ -227,40 +261,59 @@ class EigenResult:
         return len(self.eigenvalues)
 
 
-def _offdiag_sq(a, n, wp):
-    acc = fzero
-    for i in range(n):
-        ai = a[i]
-        for j in range(i + 1, n):
-            acc = mpf_add(acc, mpf_mul(ai[j], ai[j], wp, _RND), wp, _RND)
-    return mpf_shift(acc, 1)
+def _diagonal_result(rows, prec):
+    """The exact result for exactly diagonal raw rows, else None."""
+    n = len(rows)
+    if any(rows[i][j] != fzero for i in range(n) for j in range(n) if i != j):
+        return None
+    eigs = sorted(make_mpf(mpf_pos(rows[i][i], prec, _RND)) for i in range(n))
+    return EigenResult(eigenvalues=tuple(eigs), precision_used=prec,
+                       offdiag_residual=make_mpf(fzero), sweeps=0)
 
 
 def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
                     max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenResult:
-    """Cyclic Jacobi eigenvalues of a symmetric matrix.
+    """Cyclic Jacobi eigenvalues of a symmetric matrix, in fixed point.
 
+    The entries are scaled by one power of two 2^-E with 2^E >= ||A||_F and
+    rounded to integers with F = guard_prec(prec, n) + 16 fractional bits.
     Sweeps rotate every upper off-diagonal pair in row order until the
-    off-diagonal Frobenius norm drops below ``tol * ||A||_F``.  All values
-    are real by construction and come back sorted ascending.
+    exact integer off-diagonal sum of squares drops below tol^2 * ||A||_F^2;
+    each update is a product followed by a floor shift, so the absolute
+    error stays near 2^-(prec+48) * ||A||_F, below the zero floor
+    ||A||_F * 2^-(prec-16).  The diagonal is rounded to ``prec`` once and
+    comes back sorted ascending.
     """
     if not A.symmetric:
         raise NonSymmetricError("sym_eigenvalues requires the symmetric flag")
     if not tol > 0:
         raise ValueError("tol must be positive")
     n = A.dim
-    wp = guard_prec(prec, n)
-    a = A.raw_rows()
+    rows = A.raw_rows()
+    exact = _diagonal_result(rows, prec)
+    if exact is not None:
+        return exact
+    top = max(r[2] + r[3] for row in rows for r in row if r[1])
+    F = guard_prec(prec, n) + 16
+    E = top + (n - 1).bit_length()     # 2^E >= n * max|a_ij| >= ||A||_F
+    a = [[_to_fixed(r, F - E) for r in row] for row in rows]
 
-    fro2 = _sum_sq(a, wp)
-    traw = tol._mpf_ if isinstance(tol, mpf) else mpf(tol)._mpf_
-    thresh2 = mpf_mul(mpf_mul(traw, traw, wp, _RND), fro2, wp, _RND)
+    # converged once off2 <= tol^2 * ||A||_F^2, compared exactly as integers
+    _, tman, texp, _ = tol._mpf_ if isinstance(tol, mpf) else mpf(tol)._mpf_
+    thresh = tman * tman * sum(x * x for row in a for x in row)
+    thresh <<= max(0, 2 * texp)
+    off_shift = max(0, -2 * texp)
+    one2 = 1 << 2 * F
+
+    def offdiag2():
+        return 2 * sum(x * x for i, row in enumerate(a) for x in row[i + 1:])
 
     sweeps = 0
-    off2 = _offdiag_sq(a, n, wp)
-    while mpf_gt(off2, thresh2):
+    off2 = offdiag2()
+    while off2 << off_shift > thresh:
         if sweeps >= max_sweeps:
-            resid = make_mpf(mpf_pos(mpf_sqrt(off2, wp, _RND), prec, _RND))
+            resid = make_mpf(mpf_sqrt(from_man_exp(off2, 2 * (E - F)),
+                                      prec, _RND))
             raise ConvergenceError(
                 "Jacobi did not converge in %d sweeps (residual %s)"
                 % (max_sweeps, mp.nstr(resid, 8)),
@@ -268,43 +321,34 @@ def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
             )
         sweeps += 1
         for p in range(n - 1):
-            ap = a[p]
             for q in range(p + 1, n):
+                ap, aq = a[p], a[q]
                 apq = ap[q]
-                if apq == fzero:
+                if not apq:
                     continue
-                app, aqq = ap[p], a[q][q]
-                theta = mpf_div(mpf_sub(aqq, app, wp, _RND),
-                                mpf_shift(apq, 1), wp, _RND)
-                th2 = mpf_mul(theta, theta, wp, _RND)
-                root = mpf_sqrt(mpf_add(th2, fone, wp, _RND), wp, _RND)
-                t = mpf_div(fone, mpf_add(mpf_abs(theta), root, wp, _RND), wp, _RND)
-                if mpf_lt(theta, fzero):
-                    t = mpf_neg(t)
-                c = mpf_div(fone, mpf_sqrt(
-                    mpf_add(mpf_mul(t, t, wp, _RND), fone, wp, _RND), wp, _RND),
-                    wp, _RND)
-                s = mpf_mul(t, c, wp, _RND)
-                aq = a[q]
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    ak = a[k]
-                    akp, akq = ak[p], ak[q]
-                    nkp = mpf_sub(mpf_mul(c, akp, wp, _RND),
-                                  mpf_mul(s, akq, wp, _RND), wp, _RND)
-                    nkq = mpf_add(mpf_mul(s, akp, wp, _RND),
-                                  mpf_mul(c, akq, wp, _RND), wp, _RND)
-                    ak[p] = ap[k] = nkp
-                    ak[q] = aq[k] = nkq
-                tapq = mpf_mul(t, apq, wp, _RND)
-                ap[p] = mpf_sub(app, tapq, wp, _RND)
-                aq[q] = mpf_add(aqq, tapq, wp, _RND)
-                ap[q] = aq[p] = fzero
-        off2 = _offdiag_sq(a, n, wp)
+                app, aqq = ap[p], aq[q]
+                d = aqq - app
+                two = 2 * apq
+                # t = tan(theta) with |t| <= 1, and c = cos, s = sin
+                t = (two << F) // (abs(d) + math.isqrt(d * d + two * two))
+                if d < 0:
+                    t = -t
+                c = one2 // math.isqrt(one2 + t * t)
+                s = (t * c) >> F
+                newp = [(c * x - s * y) >> F for x, y in zip(ap, aq)]
+                newq = [(s * x + c * y) >> F for x, y in zip(ap, aq)]
+                tapq = (t * apq) >> F
+                newp[p], newq[q] = app - tapq, aqq + tapq
+                newp[q] = newq[p] = 0
+                a[p], a[q] = newp, newq
+                for row, x, y in zip(a, newp, newq):
+                    row[p] = x
+                    row[q] = y
+        off2 = offdiag2()
 
-    eigs = sorted(make_mpf(mpf_pos(a[i][i], prec, _RND)) for i in range(n))
-    resid = make_mpf(mpf_pos(mpf_sqrt(off2, wp, _RND), prec, _RND))
+    eigs = sorted(make_mpf(from_man_exp(a[i][i], E - F, prec, _RND))
+                  for i in range(n))
+    resid = make_mpf(mpf_sqrt(from_man_exp(off2, 2 * (E - F)), prec, _RND))
     return EigenResult(eigenvalues=tuple(eigs), precision_used=prec,
                        offdiag_residual=resid, sweeps=sweeps)
 
@@ -339,13 +383,9 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
     if target_digits < 10:
         raise ValueError("target_digits must be >= 10")
     n = A.dim
-    if all(A.entries[i][j]._mpf_ == fzero
-           for i in range(n) for j in range(n) if i != j):
-        eigs = tuple(sorted(
-            make_mpf(mpf_pos(A.entries[i][i]._mpf_, start_prec, _RND))
-            for i in range(n)))
-        return EigenResult(eigenvalues=eigs, precision_used=start_prec,
-                           offdiag_residual=mpf(0), sweeps=0)
+    exact = _diagonal_result(A.raw_rows(), start_prec)
+    if exact is not None:
+        return exact
 
     prev = older = None
     prec = start_prec

@@ -13,7 +13,10 @@ exact zeros) such records are accepted once the determinant vanishes at the
 same scale.  For analytic streams a zero-at-precision instead triggers a
 precision escalation until every eigenvalue is resolved, since those
 spectra are expected to be nonzero and silently dropping points would
-distort every downstream distribution.
+distort every downstream distribution.  An analytic matrix whose LU
+determinant is exactly 0 is first tested for exact singularity by integer
+elimination; an exactly singular one fails at once, since no precision
+can resolve its zero eigenvalue.
 
 Logarithmic spectra collect ln|mu| of the resolved nonzero eigenvalues
 (zeros are counted, not fatal), and are split into a lower ("electrons")
@@ -39,6 +42,7 @@ from .mpnum import (
     DEFAULT_START_PREC,
     ConvergenceError,
     PrecisionCapError,
+    _exactly_singular,
     _within_rel,
     adaptive_solve,
     det_lu,
@@ -149,6 +153,10 @@ def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
                 zero_threshold=floor, sign=sh.sign,
             )
         if analytic and zeros:
+            if det == 0 and _exactly_singular(A):
+                raise IdentityError(
+                    "l=%d m=%d: the matrix is exactly singular, so a zero "
+                    "eigenvalue cannot be resolved at any precision" % (l, m))
             last_reason = ("%d eigenvalue(s) not resolvable above the "
                            "roundoff floor at %d bits" % (zeros,
                                                           res.precision_used))

@@ -4,14 +4,16 @@ The oracles here deliberately avoid the library's own LU / Jacobi code
 paths: determinants come from exact-rational cofactor expansion, and
 eigenvalue references come from exact characteristic polynomials
 (Faddeev-LeVerrier over Fractions) whose real roots are isolated by plain
-sign-change bisection at high precision.
+sign-change bisection at high precision, or from mpmath's own symmetric
+eigensolver (Householder tridiagonalisation plus QL) at more than twice
+the precision under test.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 
 
 def cofactor_det(rows):
@@ -96,6 +98,17 @@ def bisect_roots(coeffs, lo, hi, n_roots, digits, wp=None, grid=4096):
         return sorted(roots)
 
 
+def eigsy_oracle(rows, prec):
+    """Ascending eigenvalues of symmetric mpf ``rows`` by ``mp.eigsy``.
+
+    It runs at 2*prec + 64 bits, so its own error sits far below that of a
+    solver run at ``prec`` bits.
+    """
+    with workprec(2 * prec + 64):
+        E = mp.eigsy(mp.matrix([list(r) for r in rows]), eigvals_only=True)
+        return sorted(E[i] for i in range(len(rows)))
+
+
 def rand_symmetric(n, rng, bits=256):
     """Random symmetric matrix, entries uniform in [-1, 1] at full precision."""
     from hankelspectra import real_matrix
@@ -129,4 +142,4 @@ def geo1_stream():
 @pytest.fixture(scope="session")
 def zeta_star_stream():
     from hankelspectra import analytic_spec, generate
-    return generate(analytic_spec("zeta-star"), 14, 256)
+    return generate(analytic_spec("zeta-star"), 16, 256)

@@ -222,6 +222,19 @@ class TestCli:
         assert len(circles(out)) == 6
         assert verify_manifest(out + ".manifest.json") == []
 
+    def test_figure_manifest_m_grid(self, tmp_path):
+        # spectra lists every drawn m, like sweep; dist keeps its one m
+        common = ["--func", "exponential", "--l", "1"]
+        fig, csv_out = str(tmp_path / "fig.svg"), str(tmp_path / "s.csv")
+        dist = str(tmp_path / "dist.svg")
+        upto3, at2 = ["--m-max", "3"], ["--m", "2"]
+        assert cli(["figure", "spectra"] + common + upto3 + ["--out", fig]) == 0
+        assert cli(["sweep"] + common + upto3 + ["--out", csv_out]) == 0
+        assert cli(["figure", "dist"] + common + at2 + ["--out", dist]) == 0
+        grids = [json.loads(open(p + ".manifest.json").read())["m_grid"]
+                 for p in (fig, csv_out, dist)]
+        assert grids == [[1, 2, 3], [1, 2, 3], [2]]
+
     def test_manifest_function_id_from_parsed_spec(self, tmp_path):
         # 1/(1-s) has rank-one Hankel matrices, so only m=1 is resolvable
         cfg = tmp_path / "inv.json"

@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import mpf_shift
 
 from hankelspectra import (
     adaptive_solve,
+    builtin_spec,
     det_lu,
     frobenius_norm,
     from_decimal,
+    generate,
     real_matrix,
+    signed_hankel,
     sym_eigenvalues,
     to_decimal,
     trace,
@@ -18,9 +23,16 @@ from hankelspectra.mpnum import (
     NonSymmetricError,
     PrecisionCapError,
     guard_prec,
+    make_mpf,
 )
 
-from conftest import bisect_roots, char_poly, cofactor_det, rand_symmetric
+from conftest import (
+    bisect_roots,
+    char_poly,
+    cofactor_det,
+    eigsy_oracle,
+    rand_symmetric,
+)
 
 CATALAN3 = [[1, 1, 2], [1, 2, 5], [2, 5, 14]]
 
@@ -114,12 +126,102 @@ class TestSymEigenvalues:
         with pytest.raises(ConvergenceError) as exc:
             sym_eigenvalues(A, 128, self.TOL, max_sweeps=0)
         assert exc.value.residual is not None
+        # the off-diagonal Frobenius norm sqrt(1^2 + 1^2), rounded once
+        with workprec(128):
+            assert exc.value.residual == mp.sqrt(2)
 
     def test_zero_matrix(self):
         A = real_matrix([[0, 0], [0, 0]], symmetric=True)
         res = sym_eigenvalues(A, 128, self.TOL)
         assert res.eigenvalues == (mpf(0), mpf(0))
         assert res.offdiag_residual == 0
+
+
+class TestFixedPointEdges:
+    TOL = mpf(2) ** -180
+
+    def test_power_of_two_scaling_is_bit_exact(self, rng):
+        A = rand_symmetric(7, rng)
+        base = sym_eigenvalues(A, 256, self.TOL)
+        for k in (900, -900):
+            B = real_matrix([[make_mpf(mpf_shift(x._mpf_, k)) for x in row]
+                             for row in A.entries], symmetric=True)
+            res = sym_eigenvalues(B, 256, self.TOL)
+            assert [x._mpf_ for x in res.eigenvalues] == \
+                [mpf_shift(x._mpf_, k) for x in base.eigenvalues]
+            assert res.offdiag_residual._mpf_ == \
+                mpf_shift(base.offdiag_residual._mpf_, k)
+            assert res.sweeps == base.sweeps
+
+    def test_one_by_one_exact(self):
+        with workprec(256):
+            x = mpf(-3) / 7
+        res = sym_eigenvalues(real_matrix([[x]], symmetric=True), 256,
+                              self.TOL)
+        assert res.eigenvalues == (x,)
+        assert res.sweeps == 0
+
+    def test_diagonal_wide_range_exact(self):
+        # entries far below 2^-F * ||A|| stay exact: no rotation runs
+        small, big = mpf(2) ** -3000, -3 * mpf(2) ** 2000
+        A = real_matrix([[small, 0, 0], [0, 1, 0], [0, 0, big]],
+                        symmetric=True)
+        res = sym_eigenvalues(A, 128, self.TOL)
+        assert res.eigenvalues == (big, small, mpf(1))
+        assert res.offdiag_residual == 0
+
+    def test_power_of_two_entries_exact(self):
+        # equal diagonals rotate by exactly 45 degrees: t = 1, no roundoff
+        a, b = mpf(2) ** 5, mpf(2) ** -40
+        res = sym_eigenvalues(real_matrix([[a, b], [b, a]], symmetric=True),
+                              128, self.TOL)
+        with workprec(128):
+            assert res.eigenvalues == (a - b, a + b)
+        c, d = mpf(2) ** 300, mpf(2) ** 250
+        A = real_matrix([[0, c, 0], [c, 0, 0], [0, 0, d]], symmetric=True)
+        res = sym_eigenvalues(A, 128, self.TOL)
+        assert res.eigenvalues == (-c, d, c)
+        ones = real_matrix([[1, 1], [1, 1]], symmetric=True)
+        assert sym_eigenvalues(ones, 128, self.TOL).eigenvalues == \
+            (mpf(0), mpf(2))
+
+
+def _c9_matrix():
+    # the benchmark's c9 recipe with seed 1: 25 moments, l=1, m=24, 77 digits
+    r = random.Random(1)
+    vals = [str(r.uniform(-1, 1)) for _ in range(25)]
+    stream = generate(builtin_spec("user-moments", *vals), 24, 320)
+    return signed_hankel(stream, 1, 24).matrix
+
+
+class TestIndependentOracle:
+    """Jacobi against mpmath's eigsy at 2*prec + 64 bits."""
+
+    def _check(self, A, digits):
+        res = adaptive_solve(A, digits)
+        oracle = eigsy_oracle(A.entries, res.precision_used)
+        with workprec(2 * res.precision_used + 64):
+            for e, o in zip(res.eigenvalues, oracle):
+                assert abs(e - o) <= mpf(10) ** -digits * abs(o), (e, o)
+        # each level: absolute error at least 2^14 below the zero floor
+        fnorm = frobenius_norm(A, 64)
+        for prec in (256, 512):
+            lvl = sym_eigenvalues(A, prec, mpf(2) ** -(prec - 8))
+            oracle = eigsy_oracle(A.entries, prec)
+            with workprec(2 * prec + 64):
+                bound = fnorm * mpf(2) ** -(prec - 2)
+                worst = max(abs(e - o)
+                            for e, o in zip(lvl.eigenvalues, oracle))
+                assert worst <= bound, (prec, worst, bound)
+
+    def test_c9_m24(self):
+        self._check(_c9_matrix(), 77)
+
+    def test_graded_exponential_m20(self, exp_stream):
+        self._check(signed_hankel(exp_stream, 1, 20).matrix, 30)
+
+    def test_zeta_star_m16(self, zeta_star_stream):
+        self._check(signed_hankel(zeta_star_stream, 1, 16).matrix, 30)
 
 
 class TestAdaptiveSolve:

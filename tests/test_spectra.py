@@ -216,6 +216,27 @@ class TestSweep:
         assert list(res.failures) == [3]
         assert res.failures[3].startswith("ConvergenceError")
 
+    def test_exactly_singular_analytic_fails_at_once(self, tmp_path,
+                                                     monkeypatch):
+        # 1/(1-z) has rank-one Hankel matrices: m >= 2 is exactly singular,
+        # so one solve decides it instead of a ladder up to the cap
+        stream = generate(analytic_spec("one-over-one-minus-z"), 3, 256,
+                          cache_dir=str(tmp_path))
+        solve = spectra_mod.adaptive_solve
+        calls = []
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.dim)
+            return solve(A, *args, **kwargs)
+
+        monkeypatch.setattr(spectra_mod, "adaptive_solve", counting)
+        for m in (2, 3):
+            calls.clear()
+            with pytest.raises(spectra_mod.IdentityError,
+                               match="exactly singular"):
+                compute_spectrum(stream, 1, m, 30)
+            assert calls == [m]
+
     def test_stream_coverage_validated(self, exp_stream):
         with pytest.raises(ValueError, match="index"):
             sweep(exp_stream, 20, range(1, 10), 30)
