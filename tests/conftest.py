@@ -6,14 +6,15 @@ eigenvalue references come from exact characteristic polynomials
 (Faddeev-LeVerrier over Fractions) whose real roots are isolated by plain
 sign-change bisection at high precision, or from mpmath's own symmetric
 eigensolver (Householder tridiagonalisation plus QL) at more than twice
-the precision under test.
+the precision under test.  Analytic coefficient references come from
+mpmath's own functions through the Cauchy integral on a ring.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
 
 def cofactor_det(rows):
@@ -107,6 +108,26 @@ def eigsy_oracle(rows, prec):
     with workprec(2 * prec + 64):
         E = mp.eigsy(mp.matrix([list(r) for r in rows]), eigvals_only=True)
         return sorted(E[i] for i in range(len(rows)))
+
+
+def ring_quadrature(f, s0, r, N, nq, prec):
+    """Taylor coefficients 0..N of f at s0 by the trapezoid rule on nq nodes
+    of the circle |s - s0| = r (the Cauchy integral), at ``prec`` bits.
+
+    Nodes sit at angles pi*(2j+1)/nq.  The aliasing error of coefficient k
+    is about |c_(k+nq)| r^nq, so nq a little above N suffices for the
+    fast-decaying coefficients of entire functions.
+    """
+    with workprec(prec):
+        acc = [mpc(0)] * (N + 1)
+        for j in range(nq):
+            w = mp.expjpi(mpf(2 * j + 1) / nq)
+            g = f(s0 + r * w)
+            wk, wc = mpc(1), mp.conj(w)
+            for k in range(N + 1):
+                acc[k] += g * wk
+                wk *= wc
+        return [acc[k] / (nq * mpf(r) ** k) for k in range(N + 1)]
 
 
 def rand_symmetric(n, rng, bits=256):

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st_
 from mpmath import mp, mpc, mpf, workprec
 
 from hankelspectra import (
@@ -14,13 +15,17 @@ from hankelspectra import (
     theta,
     zeta_em,
 )
+from hankelspectra import coeffs
 from hankelspectra.coeffs import (
     CacheCorruptionError,
     CoeffIndexError,
+    QuadratureError,
     UnknownGeneratorError,
     ZetaPoleError,
     load_analytic_config,
 )
+
+from conftest import ring_quadrature
 
 # published 50-digit expansions
 ZETA2_50 = "1.6449340668482264364724151666460251892189499012068"
@@ -144,16 +149,20 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="strictly inside"):
             generate(spec, 3, 128)
 
-    def test_nonconvergent_quadrature_raises(self):
-        # singularity barely outside the ring: aliasing decays far too
-        # slowly for node doubling to stabilise within its budget
-        from hankelspectra.coeffs import QuadratureError
+    def test_log_near_singularity_matches_closed_form(self):
+        # log(1 - s/a) with a just outside the unit ring: c_k = -1/(k a^k)
         spec = FunctionSpec(name="hard", kind="analytic",
                             pole_removal="log(1 - s/mpf('1.0000001'))",
                             ring_radius="1", analyticity_radius="1.0000001",
                             generator_id="hard")
-        with pytest.raises(QuadratureError):
-            generate(spec, 2, 128)
+        prec = 128
+        st = generate(spec, 12, prec)
+        with workprec(prec + 64):
+            a = mpf("1.0000001")
+            assert theta(st, 0) == 0
+            for k in range(1, 13):
+                ref = -1 / (k * a ** k)
+                assert abs(theta(st, k) - ref) <= mpf(2) ** -(prec - 8) * abs(ref), k
 
 
 class TestDeterminism:
@@ -224,6 +233,153 @@ class TestCache:
         b = generate(builtin_spec("exponential"), 4, 256, cache_dir=cd)
         assert "[cache]" not in b.provenance
         assert b.precision_bits == 256
+
+    def test_format_1_cache_ignored_and_replaced(self, tmp_path):
+        cd = str(tmp_path)
+        spec = analytic_spec("one-over-one-minus-z")
+        generate(spec, 4, 128, cache_dir=cd)
+        vpath, mpath = coeffs._cache_paths(spec, 128, cd)
+        manifest = json.load(open(mpath))
+        manifest["format"] = 1
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with open(vpath, "w") as fh:       # planted values of an older path
+            for k in range(5):
+                fh.write(json.dumps({"bits": 128, "k": k, "v": "7"}) + "\n")
+        st = generate(spec, 4, 128, cache_dir=cd)
+        assert "[cache]" not in st.provenance
+        assert list(st.values) == [1] * 5
+        assert json.load(open(mpath))["format"] == 2
+        again = generate(spec, 4, 128, cache_dir=cd)
+        assert "[cache]" in again.provenance
+        assert list(again.values) == [1] * 5
+
+
+def _series_spec(expr, s0=("0", "0"), ring="1", analyticity="inf"):
+    return FunctionSpec(name="series-test", kind="analytic", s0=s0,
+                        pole_removal=expr, ring_radius=ring,
+                        analyticity_radius=analyticity, generator_id="series-test")
+
+
+def _zeta_star_derivatives(N, prec):
+    """(s-1)*zeta(s) at 0 from mpmath's derivatives a_j = zeta^(j)(0)/j!."""
+    with workprec(2 * prec + 64):
+        a = [mp.zeta(0, 1, j) / mp.factorial(j) for j in range(N + 1)]
+        return [(a[k - 1] if k else 0) - a[k] for k in range(N + 1)]
+
+
+def _assert_close(values, refs, bits):
+    with workprec(2 * bits + 64):
+        for k, (v, r) in enumerate(zip(values, refs)):
+            assert abs(v - r) <= mpf(2) ** -bits * max(1, abs(r)), k
+
+
+class TestSeriesOracles:
+    """Analytic streams against references that share no code with them."""
+
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_zeta_star_full_precision_and_quadrature(self, N):
+        prec = 256
+        stream = generate(analytic_spec("zeta-star"), N, prec)
+        _assert_close(stream.values, _zeta_star_derivatives(N, prec), prec - 8)
+        quad = ring_quadrature(lambda s: (s - 1) * mp.zeta(s), 0, 1, N,
+                               2 * (N + 1) + 16, prec)
+        _assert_close(stream.values, [q.real for q in quad], prec // 2)
+
+    def test_zeta_pole_removed_at_one_gives_stieltjes(self):
+        # (s-1)*zeta(s) = 1 + sum_n (-1)^n gamma_n (s-1)^(n+1) / n!
+        prec, N = 256, 12
+        stream = generate(_series_spec("(s-1)*zeta(s)", s0=("1", "0")), N, prec)
+        with workprec(2 * prec + 64):
+            refs = [mpf(1)] + [(-1) ** n * mp.stieltjes(n) / mp.factorial(n)
+                               for n in range(N)]
+        _assert_close(stream.values, refs, prec - 8)
+
+    def test_gamma_pole_removed_at_zero(self):
+        prec, N = 256, 12
+        stream = generate(_series_spec("s*gamma(s)", ring="0.5"), N, prec)
+        with workprec(2 * prec + 64):
+            refs = mp.taylor(lambda x: mp.gamma(1 + x), 0, N)
+        _assert_close(stream.values, refs, prec - 8)
+
+    def test_one_over_one_minus_z_exact(self):
+        stream = generate(analytic_spec("one-over-one-minus-z"), 40, 256)
+        assert list(stream.values) == [1] * 41
+
+    def test_pole_left_in_expression_raises(self):
+        with pytest.raises(ValueError, match="pole of order 1"):
+            generate(_series_spec("zeta(s)", s0=("1", "0")), 4, 128)
+
+    def test_complex_coefficients_rejected(self):
+        spec = _series_spec("exp(s)", s0=("0.5", "1"))
+        with pytest.raises(ValueError, match="must be real"):
+            generate(spec, 4, 128)
+
+    def test_disagreement_between_precisions_raises(self, monkeypatch):
+        prec = 128
+        real_zeta = coeffs._series_zeta
+
+        def skewed(z, rho):
+            out = real_zeta(z, rho)
+            if mp.prec == prec + coeffs.JET_GUARD_BITS[1]:
+                out = out * (1 + mpf(2) ** -(prec - 4))
+            return out
+
+        monkeypatch.setattr(coeffs, "_series_zeta", skewed)
+        with pytest.raises(QuadratureError) as exc:
+            generate(analytic_spec("zeta-star"), 6, prec)
+        assert exc.value.first_failure == 0
+
+
+def _jet(s0, n=8):
+    return coeffs._Jet(0, [mpf(s0), mpf(1)] + [mpf(0)] * (n - 2))
+
+
+def _assert_jet(x, coeffs_, bits):
+    got = x.dense(0, len(coeffs_)) if isinstance(x, coeffs._Jet) else [x]
+    for k, (a, b) in enumerate(zip(got, coeffs_)):
+        assert abs(a - b) <= mpf(2) ** -bits * max(1, abs(b)), (k, a, b)
+
+
+_S0 = st_.floats(min_value=-3, max_value=3, allow_nan=False).map(
+    lambda x: round(x, 6))
+
+
+class TestJetProperties:
+    """Series identities at random real expansion points, 8 coefficients."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_S0)
+    def test_exp_of_log(self, s0):
+        with workprec(160):
+            h = _jet(s0) - mpf(s0)
+            _assert_jet(coeffs._exp(coeffs._log(1 + h)), [1, 1] + [0] * 6, 150)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_S0)
+    def test_sin_squared_plus_cos_squared(self, s0):
+        with workprec(160):
+            x = _jet(s0)
+            _assert_jet(coeffs._sin(x) ** 2 + coeffs._cos(x) ** 2,
+                        [1] + [0] * 7, 150)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st_.floats(min_value=0.05, max_value=3).map(lambda x: round(x, 6)))
+    def test_sqrt_squared(self, s0):
+        with workprec(160):
+            x = _jet(s0)
+            _assert_jet(coeffs._sqrt(x) ** 2, x.dense(0, 8), 140)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_S0.filter(lambda x: min(abs(x + n) for n in range(4)) > 0.25))
+    def test_gamma_recurrence(self, s0):
+        # a quarter away from the poles, the h^7 coefficients of gamma stay
+        # below 4^8 = 2^16, so cancellation costs at most 16 of the 160 bits
+        with workprec(160):
+            x = _jet(s0)
+            lhs = coeffs._gamma(x + 1)
+            rhs = x * coeffs._gamma(x)
+            _assert_jet(lhs, rhs.dense(0, 8), 130)
 
 
 class TestSpecParsing:

@@ -248,9 +248,9 @@ class TestAdaptiveSolve:
         for a, b in zip(res512.eigenvalues, res1024.eigenvalues):
             assert rel_err(a, b, wp=1100) < mpf(10) ** -30
         res = adaptive_solve(A, 30)
-        oracle = sym_eigenvalues(A, 4096, mpf(2) ** -4000)
-        for a, b in zip(res.eigenvalues, oracle.eigenvalues):
-            assert rel_err(a, b, wp=4200) < mpf(10) ** -30
+        oracle = eigsy_oracle(A.entries, res.precision_used)
+        for a, b in zip(res.eigenvalues, oracle):
+            assert rel_err(a, b, wp=2 * res.precision_used + 64) < mpf(10) ** -30
 
     def test_precision_cap_carries_both_lists(self):
         with workprec(512):
