@@ -475,10 +475,7 @@ def zeta_em(s, prec: int):
         s = s.real
     if s == 1:
         raise ZetaPoleError("zeta has a pole at s = 1")
-    val = _zeta(_const(s, 1), 0, prec).dense(0, 1)[0]
-    if isinstance(s, mpf) and isinstance(val, mpc):
-        val = val.real
-    return val
+    return _zeta(_const(s, 1), 0, prec).dense(0, 1)[0]
 
 
 # ---------------------------------------------------------------------------
