@@ -504,18 +504,10 @@ class FunctionSpec:
     generator_id: str = ""
 
     def spec_hash(self) -> str:
-        blob = json.dumps(
-            {
-                "kind": self.kind,
-                "family": self.family,
-                "params": list(self.params),
-                "s0": list(self.s0),
-                "pole_removal": self.pole_removal,
-                "ring_radius": self.ring_radius,
-                "generator_id": self.generator_id,
-            },
-            sort_keys=True,
-        )
+        """Hash of every field that can change the values (cache file names)."""
+        doc = self.to_json()
+        del doc["name"], doc["analyticity_radius"]
+        blob = json.dumps(doc, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def to_json(self) -> dict:
@@ -879,16 +871,18 @@ def _atomic_write(path, text):
         raise
 
 
+def stream_jsonl(stream: CoeffStream) -> str:
+    """The stream as JSON lines ``{"k", "v", "bits"}``, one per index."""
+    bits = stream.precision_bits
+    return "".join(
+        json.dumps({"k": k, "v": to_decimal(v, bits), "bits": bits},
+                   sort_keys=True) + "\n"
+        for k, v in enumerate(stream.values))
+
+
 def _cache_store(stream: CoeffStream, cache_dir: str):
     vpath, mpath = _cache_paths(stream.spec, stream.precision_bits, cache_dir)
-    lines = []
-    for k, v in enumerate(stream.values):
-        lines.append(json.dumps(
-            {"k": k, "v": to_decimal(v, stream.precision_bits),
-             "bits": stream.precision_bits},
-            sort_keys=True,
-        ))
-    _atomic_write(vpath, "\n".join(lines) + "\n")
+    _atomic_write(vpath, stream_jsonl(stream))
     manifest = {
         "spec_hash": stream.spec.spec_hash(),
         "spec": stream.spec.to_json(),

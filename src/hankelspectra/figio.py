@@ -20,13 +20,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from xml.sax.saxutils import escape
 
 from mpmath import workprec
 
 from . import __version__
-from .coeffs import default_cache_dir, generate, parse_func_token
+from .coeffs import (
+    CACHE_ENV_VAR,
+    default_cache_dir,
+    generate,
+    parse_func_token,
+    stream_jsonl,
+)
 from .dist import distribution_csv, from_log_spectrum
 from .hankel import signed_hankel
 from .harness import (
@@ -42,8 +48,8 @@ from .harness import (
     load_reference_constants,
     write_report,
 )
-from .spectra import compute_spectrum, log_spectrum, spectra_csv, split, sweep
-from .mpnum import det_lu, to_decimal
+from .spectra import log_spectrum, spectra_csv, split, sweep
+from .mpnum import DEFAULT_PREC_CAP, det_lu, to_decimal
 
 CHECK_IDS = ("2A", "2B", "2C", "2D", "2E", "v2", "v3", "v5", "v6")
 
@@ -180,19 +186,12 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _json_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # manifests
-
-
-@dataclass(frozen=True)
-class Manifest:
-    tool_version: str
-    function_id: str
-    spec_hash: str
-    l_list: tuple
-    m_grid: tuple
-    precision_policy: str
-    files: tuple   # ((relative path, sha256 hex), ...)
 
 
 def _sha256_file(path):
@@ -204,27 +203,22 @@ def _sha256_file(path):
 
 
 def build_manifest(function_id, spec_hash, l_list, m_grid, precision_policy,
-                   files, base_dir=".") -> Manifest:
-    entries = tuple(
-        (os.path.relpath(f, base_dir), _sha256_file(f)) for f in sorted(files)
-    )
-    return Manifest(tool_version=__version__, function_id=function_id,
-                    spec_hash=spec_hash, l_list=tuple(l_list),
-                    m_grid=tuple(m_grid), precision_policy=precision_policy,
-                    files=entries)
-
-
-def write_manifest(manifest: Manifest, path: str):
-    doc = {
-        "tool_version": manifest.tool_version,
-        "function_id": manifest.function_id,
-        "spec_hash": manifest.spec_hash,
-        "l_list": list(manifest.l_list),
-        "m_grid": list(manifest.m_grid),
-        "precision_policy": manifest.precision_policy,
-        "files": [{"path": p, "sha256": h} for p, h in manifest.files],
+                   files, base_dir=".") -> dict:
+    """The manifest document: run parameters and the sha256 of each file."""
+    return {
+        "tool_version": __version__,
+        "function_id": function_id,
+        "spec_hash": spec_hash,
+        "l_list": list(l_list),
+        "m_grid": list(m_grid),
+        "precision_policy": precision_policy,
+        "files": [{"path": os.path.relpath(f, base_dir),
+                   "sha256": _sha256_file(f)} for f in sorted(files)],
     }
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def write_manifest(manifest: dict, path: str):
+    _write_text(path, _json_text(manifest))
 
 
 def verify_manifest(path: str) -> list:
@@ -260,11 +254,11 @@ def _add_common(p):
                         "a check needs several)")
     p.add_argument("--digits", type=int, default=30,
                    help="target agreement digits for eigenvalues")
-    p.add_argument("--prec-cap", type=int, default=8192,
+    p.add_argument("--prec-cap", type=int, default=DEFAULT_PREC_CAP,
                    help="adaptive precision cap in bits")
     p.add_argument("--cache-dir", default=None,
                    help="coefficient cache directory (default: $%s)"
-                        % "HANKELSPECTRA_CACHE")
+                        % CACHE_ENV_VAR)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
@@ -289,7 +283,6 @@ def build_parser():
     p = sub.add_parser("sweep", help="spectra for m = 1..m-max")
     _add_common(p)
     p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--m-min", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("dist", help="distribution of one logarithmic spectrum")
@@ -340,6 +333,17 @@ def _write_manifest(args, spec, l, m_grid, out):
     write_manifest(man, out + ".manifest.json")
 
 
+def _write_table(args, write_csv, json_doc):
+    """Write ``write_csv(fh)``'s CSV, or ``json_doc()`` for ``--format json``."""
+    if args.format == "json":
+        text = _json_text(json_doc())
+    else:
+        buf = io.StringIO()
+        write_csv(buf)
+        text = buf.getvalue()
+    _write_text(args.out, text)
+
+
 def _record_json(rec):
     with workprec(rec.precision_used):
         return {
@@ -364,15 +368,34 @@ def _dyadic_grid(m_max, floor=2):
     return sorted(grid)
 
 
+def _records_for(args, spec, ls, ms):
+    """Records for every l in ``ls`` and m in ``ms``, all from one stream.
+
+    Raises with each failed (l, m) and its recorded error.
+    """
+    ls = list(dict.fromkeys(ls))
+    stream = _make_stream(args, spec, max(ls), max(ms))
+    records, failed = [], []
+    for l in ls:
+        result = sweep(stream, l, ms, args.digits, jobs=args.jobs,
+                       prec_cap=args.prec_cap)
+        records.extend(result.records)
+        failed.extend("l=%d m=%d: %s" % (l, m, err)
+                      for m, err in sorted(result.failures.items()))
+    if failed:
+        raise RuntimeError("sweep failures: %s" % "; ".join(failed))
+    return records
+
+
+def _dists_for(records):
+    return {rec.m: from_log_spectrum(log_spectrum(rec)) for rec in records}
+
+
 def _cmd_coeffs(args, spec):
     ls = _parse_l_list(args.l)
     stream = _make_stream(args, spec, max(ls), args.m_max)
     if args.out:
-        recs = [json.dumps({"k": k,
-                            "v": to_decimal(v, stream.precision_bits),
-                            "bits": stream.precision_bits}, sort_keys=True)
-                for k, v in enumerate(stream.values)]
-        _write_text(args.out, "\n".join(recs) + "\n")
+        _write_text(args.out, stream_jsonl(stream))
     print("\n".join([
         "function: %s" % stream.spec.name,
         "spec_hash: %s" % stream.spec.spec_hash(),
@@ -383,76 +406,38 @@ def _cmd_coeffs(args, spec):
     return 0
 
 
-def _record_for(args, spec, l, m):
-    stream = _make_stream(args, spec, l, m)
-    return compute_spectrum(stream, l, m, args.digits, prec_cap=args.prec_cap)
-
-
-def _records_for(args, spec, l, ms):
-    stream = _make_stream(args, spec, l, max(ms))
-    result = sweep(stream, l, ms, args.digits, jobs=args.jobs,
-                   prec_cap=args.prec_cap)
-    if result.failures:
-        raise RuntimeError(
-            "sweep failures at m=%s" % sorted(result.failures)
-        )
-    return result.records
-
-
-def _dists_for(records):
-    return {rec.m: from_log_spectrum(log_spectrum(rec)) for rec in records}
-
-
-def _json_text(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _cmd_spectrum(args, spec):
     l = _parse_l_list(args.l)[0]
-    rec = _record_for(args, spec, l, args.m)
-    if args.format == "json":
-        _write_text(args.out, _json_text(_record_json(rec)))
-    else:
-        buf = io.StringIO()
-        spectra_csv([rec], buf)
-        _write_text(args.out, buf.getvalue())
+    (rec,) = _records_for(args, spec, [l], [args.m])
+    _write_table(args, lambda fh: spectra_csv([rec], fh),
+                 lambda: _record_json(rec))
     return 0
 
 
 def _cmd_sweep(args, spec):
     l = _parse_l_list(args.l)[0]
     stream = _make_stream(args, spec, l, args.m_max)
-    result = sweep(stream, l, range(args.m_min, args.m_max + 1), args.digits,
+    result = sweep(stream, l, range(1, args.m_max + 1), args.digits,
                    jobs=args.jobs, prec_cap=args.prec_cap)
     for m, err in sorted(result.failures.items()):
         print("m=%d failed: %s" % (m, err), file=sys.stderr)
-    if args.format == "json":
-        _write_text(args.out,
-                    _json_text([_record_json(r) for r in result.records]))
-    else:
-        buf = io.StringIO()
-        spectra_csv(result.records, buf)
-        _write_text(args.out, buf.getvalue())
+    records = result.records
+    _write_table(args, lambda fh: spectra_csv(records, fh),
+                 lambda: [_record_json(r) for r in records])
     if args.out:
-        _write_manifest(args, spec, l, [r.m for r in result.records],
-                        args.out)
+        _write_manifest(args, spec, l, [r.m for r in records], args.out)
     return 0 if not result.failures else 2
 
 
 def _cmd_dist(args, spec):
     l = _parse_l_list(args.l)[0]
-    F = _dists_for([_record_for(args, spec, l, args.m)])[args.m]
-    if args.format == "json":
-        _write_text(args.out, _json_text({
-            "l": l, "m": args.m,
-            "jumps": [to_decimal(x, F.precision_bits) for x in F.jumps],
-            "weight_per_jump": "1/%d" % F.m,
-            "missing_mass": str(F.missing_mass),
-        }))
-    else:
-        buf = io.StringIO()
-        distribution_csv(F, buf)
-        _write_text(args.out, buf.getvalue())
+    F = _dists_for(_records_for(args, spec, [l], [args.m]))[args.m]
+    _write_table(args, lambda fh: distribution_csv(F, fh), lambda: {
+        "l": l, "m": args.m,
+        "jumps": [to_decimal(x, F.precision_bits) for x in F.jumps],
+        "weight_per_jump": "1/%d" % F.m,
+        "missing_mass": str(F.missing_mass),
+    })
     return 0
 
 
@@ -475,32 +460,33 @@ def _cmd_check(args, spec):
             report = replace(estimate_constant_factor(dets, W),
                              check_id="v2", l=l)
     elif cid == "v5":
-        records = _records_for(args, spec, l, range(1, args.m_max + 1))
+        records = _records_for(args, spec, [l], range(1, args.m_max + 1))
         report = check_eigenvalue_product_rate(records)
     elif cid == "v6":
-        records = _records_for(args, spec, l, _dyadic_grid(args.m_max))
+        records = _records_for(args, spec, [l], _dyadic_grid(args.m_max))
         report = check_mean_trend(_dists_for(records), W, l=l)
     elif cid in ("2A", "2B"):
-        records = _records_for(args, spec, l, _dyadic_grid(args.m_max))
+        records = _records_for(args, spec, [l], _dyadic_grid(args.m_max))
         upper, lower = check_spectrum_divergence(
             [log_spectrum(r) for r in records])
         report = upper if cid == "2A" else lower
     elif cid == "2C":
-        records = _records_for(args, spec, l, _dyadic_grid(args.m_max, floor=4))
+        records = _records_for(args, spec, [l],
+                               _dyadic_grid(args.m_max, floor=4))
         report = replace(check_distribution_convergence(_dists_for(records)),
                          l=l)
     elif cid == "2D":
-        records = _records_for(args, spec, l, _dyadic_grid(args.m_max))
+        records = _records_for(args, spec, [l], _dyadic_grid(args.m_max))
         report = replace(check_tail_divergence(_dists_for(records)), l=l)
     else:   # 2E
         if len(ls) < 2:
             raise ValueError("check 2E needs --l with at least two values, "
                              "e.g. --l 1,2")
         by_l = {}
-        for li in ls:
-            records = _records_for(args, spec, li, _dyadic_grid(args.m_max))
-            by_l[li] = _dists_for(records)
-        report = check_distribution_coincidence(by_l)
+        for rec in _records_for(args, spec, ls, _dyadic_grid(args.m_max)):
+            by_l.setdefault(rec.l, []).append(rec)
+        report = check_distribution_coincidence(
+            {li: _dists_for(recs) for li, recs in by_l.items()})
 
     buf = io.StringIO()
     write_report(report, buf)
@@ -516,14 +502,14 @@ def _cmd_figure(args, spec):
     if args.kind == "spectra":
         if not args.m_max:
             raise ValueError("figure spectra needs --m-max")
-        records = _records_for(args, spec, l, range(1, args.m_max + 1))
+        records = _records_for(args, spec, [l], range(1, args.m_max + 1))
         out = out or "spectra_l%d_m%d.svg" % (l, args.m_max)
         render_spectra(records, out, split_policy=policy, split_value=pvalue)
         m_grid = [r.m for r in records]
     else:
         if not args.m:
             raise ValueError("figure dist needs --m")
-        F = _dists_for([_record_for(args, spec, l, args.m)])[args.m]
+        F = _dists_for(_records_for(args, spec, [l], [args.m]))[args.m]
         out = out or "dist_l%d_m%d.svg" % (l, args.m)
         render_distribution(F, out)
         m_grid = [args.m]

@@ -24,9 +24,7 @@ from mpmath import mpf, workprec
 from mpmath.libmp import mpf_neg
 
 from .coeffs import CoeffStream, theta
-from .mpnum import RealMatrix, det_lu, make_mpf
-
-REL_TOL_EXP = -30   # determinant identity tolerance: 10^-30 relative
+from .mpnum import IDENTITY_REL_EXP, RealMatrix, _within_rel, det_lu, make_mpf
 
 
 class StreamTooShortError(ValueError):
@@ -109,13 +107,9 @@ def det_relation_check(stream: CoeffStream, l: int, m: int,
     dt = det_lu(raw_toeplitz(stream, l, m), prec)
     sign = -1 if ((m * (m - 1) // 2) % 2) else 1
     with workprec(prec + 16):
-        diff = abs(dh - sign * dt)
+        st = sign * dt
+        ok = _within_rel(dh, st, IDENTITY_REL_EXP)
         scale = max(abs(dh), abs(dt))
-        if scale == 0:
-            ok, rel = True, mpf(0)
-        else:
-            rel = diff / scale
-            ok = rel <= mpf(10) ** REL_TOL_EXP
-        rel = +rel
+        rel = +(abs(dh - st) / scale) if scale else mpf(0)
     return DetRelationReport(ok=ok, l=l, m=m, det_hankel=dh, det_toeplitz=dt,
                              expected_sign=sign, rel_error=rel, prec=prec)

@@ -56,6 +56,7 @@ _RND = round_nearest
 DEFAULT_START_PREC = 256
 DEFAULT_PREC_CAP = 8192
 DEFAULT_MAX_SWEEPS = 64
+IDENTITY_REL_EXP = -30   # determinant identities hold to 10^-30 relative
 
 
 class NonSymmetricError(ValueError):

@@ -40,6 +40,7 @@ from .hankel import signed_hankel
 from .mpnum import (
     DEFAULT_PREC_CAP,
     DEFAULT_START_PREC,
+    IDENTITY_REL_EXP,
     ConvergenceError,
     PrecisionCapError,
     _exactly_singular,
@@ -50,7 +51,6 @@ from .mpnum import (
     to_decimal,
 )
 
-IDENTITY_REL_EXP = -30       # product/determinant tolerance: 10^-30 relative
 ZERO_FLOOR_SLACK_BITS = 16   # zero-at-precision: |mu| <= ||A||_F * 2^-(prec-16)
 
 
@@ -130,14 +130,13 @@ def _identity_state(eigs, det, fnorm, prec):
 
 
 def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
-                     start_prec: int = DEFAULT_START_PREC,
                      prec_cap: int = DEFAULT_PREC_CAP) -> SpectrumRecord:
     """Eigenvalues of the (l, m) signed Hankel matrix, identity-validated."""
     sh = signed_hankel(stream, l, m)
     A = sh.matrix
     fnorm = frobenius_norm(A, 64)
     analytic = stream.spec.kind == "analytic"
-    prec = start_prec
+    prec = DEFAULT_START_PREC
     last_reason = ""
     while prec <= prec_cap:
         res = adaptive_solve(A, target_digits, start_prec=prec, prec_cap=prec_cap)
@@ -163,7 +162,7 @@ def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
         else:
             last_reason = ("eigenvalue product disagrees with the "
                            "determinant at %d bits" % res.precision_used)
-        prec = max(res.precision_used * 2, prec * 2)
+        prec = res.precision_used * 2
     raise IdentityError(
         "l=%d m=%d: %s; precision cap %d reached (insufficient precision)"
         % (l, m, last_reason, prec_cap)
@@ -281,10 +280,9 @@ def pairing_stats(trains, prec: int = 128) -> PairingStats:
 
 
 def _sweep_worker(args):
-    stream, l, m, target_digits, start_prec, prec_cap = args
+    stream, l, m, target_digits, prec_cap = args
     try:
-        rec = compute_spectrum(stream, l, m, target_digits,
-                               start_prec=start_prec, prec_cap=prec_cap)
+        rec = compute_spectrum(stream, l, m, target_digits, prec_cap=prec_cap)
         return m, rec, None
     except (IdentityError, PrecisionCapError, ConvergenceError,
             ValueError) as exc:
@@ -292,13 +290,12 @@ def _sweep_worker(args):
 
 
 def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
-          jobs: int = 1, start_prec: int = DEFAULT_START_PREC,
-          prec_cap: int = DEFAULT_PREC_CAP) -> SweepResult:
+          jobs: int = 1, prec_cap: int = DEFAULT_PREC_CAP) -> SweepResult:
     """Spectrum records for every m in m_range; failures recorded per m.
 
     Each (l, m) computation is pure and independent, so the work pool
     parallelises over m without affecting results; output ordering is by m
-    regardless of job count.
+    regardless of job count.  A pool is started only for more than one m.
     """
     ms = sorted(set(int(m) for m in m_range))
     if not ms:
@@ -309,9 +306,9 @@ def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
             "stream ends at index %d but the sweep needs index %d"
             % (stream.max_index, top)
         )
-    tasks = [(stream, l, m, target_digits, start_prec, prec_cap) for m in ms]
+    tasks = [(stream, l, m, target_digits, prec_cap) for m in ms]
     results = {}
-    if jobs > 1:
+    if jobs > 1 and len(ms) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for m, rec, err in pool.map(_sweep_worker, tasks):
                 results[m] = (rec, err)

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -412,3 +413,9 @@ class TestSpecParsing:
         assert a.spec_hash() == b.spec_hash()
         c = builtin_spec("geometric", 1)
         assert c.spec_hash() != a.spec_hash()
+        # cache file names are these hashes: a change orphans every cache
+        assert c.spec_hash() == "da322fba5d2f8f3a"
+        assert a.spec_hash() == "2a07cc6a501f3c31"
+        # the display name and the analyticity radius do not move values
+        assert replace(a, name="other", analyticity_radius="3") \
+            .spec_hash() == a.spec_hash()

@@ -18,6 +18,7 @@ from hankelspectra import (
     step_distribution,
     sweep,
 )
+from hankelspectra import figio
 from hankelspectra.figio import (
     build_manifest,
     cli,
@@ -252,6 +253,28 @@ class TestCli:
         assert docs[0]["function_id"] == docs[1]["function_id"] == \
             "inverse-linear"
         assert docs[0]["spec_hash"] == docs[1]["spec_hash"]
+
+    def test_check_2e_generates_one_stream(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(spec, N, *args, **kwargs):
+            calls.append(N)
+            return generate(spec, N, *args, **kwargs)
+
+        monkeypatch.setattr(figio, "generate", counting)
+        rc = cli(["check", "2E", "--func", "exponential", "--l", "1,2",
+                  "--m-max", "8", "--digits", "25"])
+        assert rc in (0, 1)
+        assert calls == [9]     # one stream reaching l + m - 1 = 2 + 8 - 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["check"] == "2E"
+
+    def test_spectrum_failure_names_cause(self, capsys, tmp_path):
+        rc = cli(["spectrum", "--func", "one-over-one-minus-z", "--l", "1",
+                  "--m", "2", "--cache-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "exactly singular" in err
 
     def test_dist_csv(self, capsys):
         rc = cli(["dist", "--func", "exponential", "--l", "1", "--m", "3"])

@@ -194,6 +194,14 @@ class TestSweep:
                 [x._mpf_ for x in rb.eigenvalues]
             assert ra.det._mpf_ == rb.det._mpf_
 
+    def test_single_m_starts_no_pool(self, exp_stream, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started for one m")
+
+        monkeypatch.setattr(spectra_mod, "ProcessPoolExecutor", no_pool)
+        res = sweep(exp_stream, 1, [4], 30, jobs=2)
+        assert [r.m for r in res.records] == [4]
+
     def test_failure_recorded_without_abort(self, zeta_star_stream):
         # a tiny precision cap fails larger m but leaves small m intact
         res = sweep(zeta_star_stream, 1, range(1, 4), 30, prec_cap=256)
