@@ -14,7 +14,6 @@ from .coeffs import (
     FunctionSpec,
     analytic_spec,
     builtin_spec,
-    extend,
     generate,
     load_analytic_config,
     parse_func_token,

@@ -72,10 +72,10 @@ class UnknownGeneratorError(KeyError):
     pass
 
 
-class QuadratureError(RuntimeError):
-    """Analytic coefficients failed validation (the name predates the series
-    evaluation): Euler-Maclaurin cutoffs out of range, or two working
-    precisions that disagree, with the first index in ``first_failure``."""
+class StreamValidationError(RuntimeError):
+    """Analytic coefficients failed validation: Euler-Maclaurin cutoffs out
+    of range, or two working precisions that disagree, with the first index
+    in ``first_failure``."""
 
     def __init__(self, message, first_failure=None):
         super().__init__(message)
@@ -385,7 +385,8 @@ def _zeta_em(x0, order, rho, target):
             break
         nk += max(1, nk // 16)
     else:
-        raise QuadratureError("Euler-Maclaurin cutoffs failed to meet the error target")
+        raise StreamValidationError(
+            "Euler-Maclaurin cutoffs failed to meet the error target")
     M = K = nk
     # sum_(j<M) j^-x0 e^(-t ln j): t^i coefficient j^-x0 (-ln j)^i / i!
     acc = [mpf(1)] + [mpf(0)] * (order - 1)
@@ -642,7 +643,7 @@ def theta(stream: CoeffStream, k: int) -> mpf:
         return mpf(0)
     if k > stream.max_index:
         raise CoeffIndexError(
-            "index %d beyond max_index %d; use extend(stream, new_N=%d)"
+            "index %d beyond max_index %d; generate a stream with N >= %d"
             % (k, stream.max_index, k)
         )
     return stream.values[k]
@@ -730,8 +731,8 @@ def _jet_coeffs(fn, s0, N, wp):
             if g.order > N:
                 return g.dense(0, N + 1)
             n += N + 1 - g.order
-    raise QuadratureError("series evaluation stays exact only to O(h^%d), "
-                          "short of O(h^%d)" % (g.order, N + 1))
+    raise StreamValidationError("series evaluation stays exact only to "
+                                "O(h^%d), short of O(h^%d)" % (g.order, N + 1))
 
 
 def _jet_values(spec: FunctionSpec, N: int, prec: int):
@@ -769,7 +770,7 @@ def _jet_values(spec: FunctionSpec, N: int, prec: int):
     with workprec(wp_lo):
         for k in range(N + 1):
             if abs(hi[k] - lo[k]) > tol * max(1, abs(hi[k])):
-                raise QuadratureError(
+                raise StreamValidationError(
                     "coefficient %d differs between %d and %d working bits"
                     % (k, wp_lo, wp_hi), first_failure=k)
     with workprec(prec):
@@ -810,35 +811,6 @@ def generate(spec: FunctionSpec, N: int, prec: int,
     if cache_dir:
         _cache_store(stream, cache_dir)
     return stream
-
-
-def extend(stream: CoeffStream, new_N: int | None = None,
-           prec: int | None = None, cache_dir: str | None = None) -> CoeffStream:
-    """Extend a stream to a longer index range and/or higher precision.
-
-    Previously available indices are re-verified against the regenerated
-    values at the coarser of the two precisions; disagreement means the
-    original data (or its cache) is corrupt.
-    """
-    new_N = stream.max_index if new_N is None else new_N
-    prec = stream.precision_bits if prec is None else prec
-    if new_N <= stream.max_index and prec <= stream.precision_bits:
-        raise ValueError("extend needs a larger index range or precision")
-    fresh = generate(stream.spec, max(new_N, stream.max_index),
-                     max(prec, stream.precision_bits), cache_dir=cache_dir)
-    check_bits = min(stream.precision_bits, fresh.precision_bits)
-    with workprec(check_bits + 16):
-        tol = mpf(2) ** (-(check_bits - 8))
-        for k in range(stream.max_index + 1):
-            old, new = stream.values[k], fresh.values[k]
-            if abs(old - new) > tol * max(mpf(1), abs(old)):
-                raise CacheCorruptionError(
-                    "index %d changed beyond tolerance on regeneration "
-                    "(%s -> %s)" % (k, mp.nstr(old, 12), mp.nstr(new, 12))
-                )
-    if new_N < fresh.max_index:
-        fresh = replace(fresh, max_index=new_N, values=fresh.values[: new_N + 1])
-    return fresh
 
 
 # ---------------------------------------------------------------------------

@@ -250,16 +250,21 @@ def _add_common(p):
                         "rational2:2,1, catalan, user-moments:v1,v2,..., "
                         "zeta-star, analytic-config:/path.json")
     p.add_argument("--l", default="1",
-                   help="first matrix index (comma list allowed where "
-                        "a check needs several)")
+                   help="first matrix index (a comma list for coeffs and "
+                        "check 2E)")
     p.add_argument("--digits", type=int, default=30,
                    help="target agreement digits for eigenvalues")
-    p.add_argument("--prec-cap", type=int, default=DEFAULT_PREC_CAP,
-                   help="adaptive precision cap in bits")
     p.add_argument("--cache-dir", default=None,
                    help="coefficient cache directory (default: $%s)"
                         % CACHE_ENV_VAR)
     p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_record_flags(p):
+    """``_add_common`` plus the flags of commands that compute spectra."""
+    _add_common(p)
+    p.add_argument("--prec-cap", type=int, default=DEFAULT_PREC_CAP,
+                   help="adaptive precision cap in bits")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
@@ -270,36 +275,36 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", help="generate or extend a coefficient stream")
+    p = sub.add_parser("coeffs", help="generate a coefficient stream")
     _add_common(p)
     p.add_argument("--m-max", type=int, required=True,
                    help="largest matrix size the stream must cover")
 
     p = sub.add_parser("spectrum", help="spectrum of a single (l, m) matrix")
-    _add_common(p)
+    _add_record_flags(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("sweep", help="spectra for m = 1..m-max")
-    _add_common(p)
+    _add_record_flags(p)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("dist", help="distribution of one logarithmic spectrum")
-    _add_common(p)
+    _add_record_flags(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("check", help="run a trend check over sweep outputs")
     p.add_argument("check_id", choices=CHECK_IDS)
-    _add_common(p)
+    _add_record_flags(p)
     p.add_argument("--m-max", type=int, default=64)
     p.add_argument("--wl-file", default=None,
                    help="JSON file of reference growth rates per l")
 
     p = sub.add_parser("figure", help="render an SVG figure")
     p.add_argument("kind", choices=("spectra", "dist"))
-    _add_common(p)
+    _add_record_flags(p)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--policy", default=None,
@@ -309,6 +314,13 @@ def build_parser():
 
 def _parse_l_list(s):
     return [int(tok) for tok in str(s).split(",") if tok != ""]
+
+
+def _single_l(s):
+    ls = _parse_l_list(s)
+    if len(ls) != 1:
+        raise ValueError("--l takes exactly one value here, got %r" % s)
+    return ls[0]
 
 
 def _parse_policy(s):
@@ -407,7 +419,7 @@ def _cmd_coeffs(args, spec):
 
 
 def _cmd_spectrum(args, spec):
-    l = _parse_l_list(args.l)[0]
+    l = _single_l(args.l)
     (rec,) = _records_for(args, spec, [l], [args.m])
     _write_table(args, lambda fh: spectra_csv([rec], fh),
                  lambda: _record_json(rec))
@@ -415,7 +427,7 @@ def _cmd_spectrum(args, spec):
 
 
 def _cmd_sweep(args, spec):
-    l = _parse_l_list(args.l)[0]
+    l = _single_l(args.l)
     stream = _make_stream(args, spec, l, args.m_max)
     result = sweep(stream, l, range(1, args.m_max + 1), args.digits,
                    jobs=args.jobs, prec_cap=args.prec_cap)
@@ -430,7 +442,7 @@ def _cmd_sweep(args, spec):
 
 
 def _cmd_dist(args, spec):
-    l = _parse_l_list(args.l)[0]
+    l = _single_l(args.l)
     F = _dists_for(_records_for(args, spec, [l], [args.m]))[args.m]
     _write_table(args, lambda fh: distribution_csv(F, fh), lambda: {
         "l": l, "m": args.m,
@@ -443,7 +455,7 @@ def _cmd_dist(args, spec):
 
 def _cmd_check(args, spec):
     cid = args.check_id
-    ls = _parse_l_list(args.l)
+    ls = _parse_l_list(args.l) if cid == "2E" else [_single_l(args.l)]
     l = ls[0]
     constants = load_reference_constants(args.wl_file) if args.wl_file else None
     W = constants.growth_rate(l) if constants else None
@@ -496,7 +508,7 @@ def _cmd_check(args, spec):
 
 
 def _cmd_figure(args, spec):
-    l = _parse_l_list(args.l)[0]
+    l = _single_l(args.l)
     policy, pvalue = _parse_policy(args.policy)
     out = args.out
     if args.kind == "spectra":

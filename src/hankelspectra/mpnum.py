@@ -6,32 +6,30 @@ overflow.  All hot loops run on raw libmp tuples or Python ints with an
 explicit working precision, which keeps the routines independent of the
 global mpmath context and safe to call concurrently from worker processes.
 
-Three solvers are provided:
-
 * ``det_lu``          -- determinant via LU with partial pivoting,
 * ``sym_eigenvalues`` -- cyclic Jacobi for real symmetric matrices,
-* ``adaptive_solve``  -- precision-doubling driver around the Jacobi solver
-                         that stops once two consecutive precisions agree.
+* ``adaptive_solve``  -- the one precision ladder: Jacobi at doubling
+                         precisions until two consecutive levels agree and
+                         the product/determinant identity holds.
 
-Cyclic Jacobi is used deliberately instead of tridiagonalisation + QL: it
-delivers much better *relative* accuracy for eigenvalues whose magnitudes
-span hundreds of orders, which is exactly the regime the spectrum sweeps
-operate in.  ``det_lu``, ``trace`` and ``frobenius_norm`` compute in
-floating point with ``prec + 32 + 2*ceil(log2(m))`` guard bits and round
-results to the requested precision.  Jacobi runs in fixed point instead:
-one power of two scales the matrix to norm at most 1, every entry becomes
-an integer with those guard bits plus 16 more as fraction bits, and each
-update is an integer product followed by a floor shift.  Its absolute
-error is about 2^-(prec+48) * ||A||_F, below the zero floor
-||A||_F * 2^-(prec-16) under which an eigenvalue counts as zero.
+``det_lu``, ``trace`` and ``frobenius_norm`` compute in floating point with
+``prec + 32 + 2*ceil(log2(m))`` guard bits and round results to the
+requested precision.  Jacobi runs in fixed point instead: one power of two
+scales the matrix to norm at most 1, every entry becomes an integer with
+those guard bits plus 16 more as fraction bits, and each update is an
+integer product followed by a floor shift.  Its error is therefore
+absolute, about 2^-(prec+48) * ||A||_F, below the zero floor
+||A||_F * 2^-(prec-16) under which an eigenvalue counts as zero; relative
+digits of small eigenvalues come from the ladder's higher levels, not from
+the kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from mpmath import mp, mpf
+from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
     from_man_exp,
     from_str,
@@ -57,6 +55,7 @@ DEFAULT_START_PREC = 256
 DEFAULT_PREC_CAP = 8192
 DEFAULT_MAX_SWEEPS = 64
 IDENTITY_REL_EXP = -30   # determinant identities hold to 10^-30 relative
+ZERO_FLOOR_SLACK_BITS = 16   # zero-at-precision: |mu| <= ||A||_F * 2^-(prec-16)
 
 
 class NonSymmetricError(ValueError):
@@ -69,6 +68,10 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class IdentityError(RuntimeError):
+    """Eigenvalue product and determinant disagree beyond tolerance."""
 
 
 class PrecisionCapError(RuntimeError):
@@ -250,12 +253,18 @@ def _exactly_singular(A: RealMatrix) -> bool:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Sorted-ascending eigenvalues plus the precision/residual they carry."""
+    """Sorted-ascending eigenvalues plus the precision/residual they carry.
+
+    ``adaptive_solve`` also fills in the determinant and the zero floor of
+    the level it accepted.
+    """
 
     eigenvalues: tuple
     precision_used: int
     offdiag_residual: mpf
     sweeps: int = 0
+    det: mpf | None = None
+    zero_floor: mpf | None = None
 
     @property
     def dim(self) -> int:
@@ -369,34 +378,83 @@ def _agree(prev: EigenResult, cur: EigenResult, target_digits: int, wp: int) -> 
     return True
 
 
-def adaptive_solve(A: RealMatrix, target_digits: int,
-                   start_prec: int = DEFAULT_START_PREC,
-                   prec_cap: int = DEFAULT_PREC_CAP) -> EigenResult:
-    """Run the Jacobi solver at doubling precisions until results agree.
+def _identity_state(eigs, det, fnorm, prec):
+    """Classify the product/determinant identity at the given precision.
 
-    Two consecutive precisions must agree on every eigenvalue to
+    Returns (ok, zero_at_precision_count, zero floor).  With no
+    zeros-at-precision the check is a strict relative comparison; otherwise
+    both sides must vanish below the scale reachable by a product containing
+    a roundoff-level factor.  The floor is exact: a 64-bit norm times a
+    power of two.
+    """
+    with workprec(prec + 32):
+        floor = fnorm * mpf(2) ** (-(prec - ZERO_FLOOR_SLACK_BITS))
+        zeros = sum(1 for mu in eigs if abs(mu) <= floor)
+        prod = mp.fprod(eigs)
+        if zeros == 0:
+            return _within_rel(prod, det, IDENTITY_REL_EXP), 0, floor
+        bound = mpf(2) ** (2 * len(eigs))
+        for mu in eigs:
+            bound = bound * max(abs(mu), floor)
+        ok = abs(det) <= bound and abs(prod) <= bound
+        return ok, zeros, floor
+
+
+def adaptive_solve(A: RealMatrix, target_digits: int,
+                   prec_cap: int = DEFAULT_PREC_CAP,
+                   allow_zeros: bool = True) -> EigenResult:
+    """Eigenvalues by Jacobi at doubling precisions from 256 bits.
+
+    A level agrees when it matches the previous one on every eigenvalue to
     ``target_digits`` relative digits (absolute for values below
-    10^-target_digits).  Exactly diagonal input is returned immediately:
-    its diagonal is the exact answer at the first precision tried.
+    10^-target_digits); exactly diagonal input agrees at the first level,
+    since its diagonal is the exact answer.  An agreeing level is accepted
+    once ``det_lu`` at that precision satisfies the product/determinant
+    identity and, unless ``allow_zeros``, no eigenvalue is a
+    zero-at-precision; otherwise the ladder goes on from that level.  With
+    ``allow_zeros`` false, an exactly 0 determinant of an exactly singular
+    matrix raises ``IdentityError`` at once, since no precision resolves
+    its zero eigenvalue.  At the cap, ``IdentityError`` names the last
+    failed acceptance if any level agreed, else ``PrecisionCapError``
+    carries the last two levels.
     """
     if not A.symmetric:
         raise NonSymmetricError("adaptive_solve requires the symmetric flag")
     if target_digits < 10:
         raise ValueError("target_digits must be >= 10")
     n = A.dim
-    exact = _diagonal_result(A.raw_rows(), start_prec)
-    if exact is not None:
-        return exact
-
+    fnorm = frobenius_norm(A, 64)
     prev = older = None
-    prec = start_prec
+    reason = None
+    prec = DEFAULT_START_PREC
     while prec <= prec_cap:
-        tol = make_mpf(mpf_shift(fone, -(prec - 8)))
-        cur = sym_eigenvalues(A, prec, tol)
-        if prev is not None and _agree(prev, cur, target_digits, guard_prec(prec, n)):
-            return cur
+        cur = _diagonal_result(A.raw_rows(), prec) if prev is None else None
+        agreed = cur is not None
+        if cur is None:
+            tol = make_mpf(mpf_shift(fone, -(prec - 8)))
+            cur = sym_eigenvalues(A, prec, tol)
+            agreed = prev is not None and _agree(prev, cur, target_digits,
+                                                 guard_prec(prec, n))
+        if agreed:
+            det = det_lu(A, prec)
+            ok, zeros, floor = _identity_state(cur.eigenvalues, det, fnorm, prec)
+            if ok and (allow_zeros or not zeros):
+                return replace(cur, det=det, zero_floor=floor)
+            if zeros and not allow_zeros:
+                if det == 0 and _exactly_singular(A):
+                    raise IdentityError(
+                        "the matrix is exactly singular, so a zero eigenvalue "
+                        "cannot be resolved at any precision")
+                reason = ("%d eigenvalue(s) not resolvable above the roundoff "
+                          "floor at %d bits" % (zeros, prec))
+            else:
+                reason = ("eigenvalue product disagrees with the determinant "
+                          "at %d bits" % prec)
         older, prev = prev, cur
         prec *= 2
+    if reason:
+        raise IdentityError("%s; precision cap %d reached (insufficient "
+                            "precision)" % (reason, prec_cap))
     raise PrecisionCapError(
         "no agreement to %d digits below the %d-bit precision cap"
         % (target_digits, prec_cap),

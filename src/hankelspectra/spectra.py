@@ -1,22 +1,21 @@
 """Eigenvalue spectra of the signed Hankel matrices and sweeps over m.
 
-``compute_spectrum`` solves one (l, m) matrix with the adaptive eigensolver
-and accepts the result only after validating the product identity
+``compute_spectrum`` builds one (l, m) matrix and makes one call to
+``mpnum.adaptive_solve``, whose single precision ladder accepts a level
+only when two consecutive levels agree and the product identity
 
     mu_1 * mu_2 * ... * mu_m  =  det(matrix)
 
-to 10^-30 relative.  Eigenvalues whose magnitude falls below the roundoff
-floor ||A||_F * 2^-(prec-16) cannot be certified nonzero at the working
-precision; they are treated as zeros-at-precision.  For builtin coefficient
-families (which legitimately produce rank-deficient matrices and hence
-exact zeros) such records are accepted once the determinant vanishes at the
-same scale.  For analytic streams a zero-at-precision instead triggers a
-precision escalation until every eigenvalue is resolved, since those
-spectra are expected to be nonzero and silently dropping points would
-distort every downstream distribution.  An analytic matrix whose LU
-determinant is exactly 0 is first tested for exact singularity by integer
-elimination; an exactly singular one fails at once, since no precision
-can resolve its zero eigenvalue.
+holds to 10^-30 relative.  Eigenvalues whose magnitude falls below the
+roundoff floor ||A||_F * 2^-(prec-16) cannot be certified nonzero at the
+working precision; they are treated as zeros-at-precision.  For builtin
+coefficient families (which legitimately produce rank-deficient matrices
+and hence exact zeros) such records are accepted once the determinant
+vanishes at the same scale.  For analytic streams a zero-at-precision
+instead continues the same ladder until every eigenvalue is resolved, since
+those spectra are expected to be nonzero and silently dropping points would
+distort every downstream distribution; an exactly singular analytic matrix
+fails at once, since no precision can resolve its zero eigenvalue.
 
 Logarithmic spectra collect ln|mu| of the resolved nonzero eigenvalues
 (zeros are counted, not fatal), and are split into a lower ("electrons")
@@ -39,23 +38,12 @@ from .coeffs import CoeffStream
 from .hankel import signed_hankel
 from .mpnum import (
     DEFAULT_PREC_CAP,
-    DEFAULT_START_PREC,
-    IDENTITY_REL_EXP,
     ConvergenceError,
+    IdentityError,
     PrecisionCapError,
-    _exactly_singular,
-    _within_rel,
     adaptive_solve,
-    det_lu,
-    frobenius_norm,
     to_decimal,
 )
-
-ZERO_FLOOR_SLACK_BITS = 16   # zero-at-precision: |mu| <= ||A||_F * 2^-(prec-16)
-
-
-class IdentityError(RuntimeError):
-    """Eigenvalue product and determinant disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -107,65 +95,16 @@ class SweepResult:
     failures: dict
 
 
-def _identity_state(eigs, det, fnorm, prec):
-    """Classify the product/determinant identity at the given precision.
-
-    Returns (ok, zero_at_precision_count, zero floor).  With no
-    zeros-at-precision the check is a strict relative comparison; otherwise
-    both sides must vanish below the scale reachable by a product containing
-    a roundoff-level factor.  The floor is exact: a 64-bit norm times a
-    power of two.
-    """
-    with workprec(prec + 32):
-        floor = fnorm * mpf(2) ** (-(prec - ZERO_FLOOR_SLACK_BITS))
-        zeros = sum(1 for mu in eigs if abs(mu) <= floor)
-        prod = mp.fprod(eigs)
-        if zeros == 0:
-            return _within_rel(prod, det, IDENTITY_REL_EXP), 0, floor
-        bound = mpf(2) ** (2 * len(eigs))
-        for mu in eigs:
-            bound = bound * max(abs(mu), floor)
-        ok = abs(det) <= bound and abs(prod) <= bound
-        return ok, zeros, floor
-
-
 def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
                      prec_cap: int = DEFAULT_PREC_CAP) -> SpectrumRecord:
     """Eigenvalues of the (l, m) signed Hankel matrix, identity-validated."""
     sh = signed_hankel(stream, l, m)
-    A = sh.matrix
-    fnorm = frobenius_norm(A, 64)
-    analytic = stream.spec.kind == "analytic"
-    prec = DEFAULT_START_PREC
-    last_reason = ""
-    while prec <= prec_cap:
-        res = adaptive_solve(A, target_digits, start_prec=prec, prec_cap=prec_cap)
-        det = det_lu(A, res.precision_used)
-        ok, zeros, floor = _identity_state(res.eigenvalues, det, fnorm,
-                                           res.precision_used)
-        if ok and not (analytic and zeros):
-            return SpectrumRecord(
-                l=l, m=m, function_id=stream.spec.name,
-                eigenvalues=res.eigenvalues,
-                precision_used=res.precision_used,
-                target_digits=target_digits, det=det,
-                zero_threshold=floor, sign=sh.sign,
-            )
-        if analytic and zeros:
-            if det == 0 and _exactly_singular(A):
-                raise IdentityError(
-                    "l=%d m=%d: the matrix is exactly singular, so a zero "
-                    "eigenvalue cannot be resolved at any precision" % (l, m))
-            last_reason = ("%d eigenvalue(s) not resolvable above the "
-                           "roundoff floor at %d bits" % (zeros,
-                                                          res.precision_used))
-        else:
-            last_reason = ("eigenvalue product disagrees with the "
-                           "determinant at %d bits" % res.precision_used)
-        prec = res.precision_used * 2
-    raise IdentityError(
-        "l=%d m=%d: %s; precision cap %d reached (insufficient precision)"
-        % (l, m, last_reason, prec_cap)
+    res = adaptive_solve(sh.matrix, target_digits, prec_cap=prec_cap,
+                         allow_zeros=stream.spec.kind != "analytic")
+    return SpectrumRecord(
+        l=l, m=m, function_id=stream.spec.name, eigenvalues=res.eigenvalues,
+        precision_used=res.precision_used, target_digits=target_digits,
+        det=res.det, zero_threshold=res.zero_floor, sign=sh.sign,
     )
 
 

@@ -10,7 +10,6 @@ from hankelspectra import (
     FunctionSpec,
     analytic_spec,
     builtin_spec,
-    extend,
     generate,
     parse_func_token,
     theta,
@@ -20,7 +19,7 @@ from hankelspectra import coeffs
 from hankelspectra.coeffs import (
     CacheCorruptionError,
     CoeffIndexError,
-    QuadratureError,
+    StreamValidationError,
     UnknownGeneratorError,
     ZetaPoleError,
     load_analytic_config,
@@ -102,9 +101,9 @@ class TestBuiltins:
         assert theta(st, -1) == 0
         assert theta(st, -7) == 0
 
-    def test_out_of_range_mentions_extend(self):
+    def test_out_of_range_names_needed_length(self):
         st = generate(builtin_spec("geometric", 1), 3, 128)
-        with pytest.raises(CoeffIndexError, match="extend"):
+        with pytest.raises(CoeffIndexError, match="stream with N >= 4"):
             theta(st, 4)
 
     def test_unknown_family(self):
@@ -172,22 +171,17 @@ class TestDeterminism:
         b = generate(analytic_spec("zeta-star"), 6, 192)
         assert [x._mpf_ for x in a.values] == [x._mpf_ for x in b.values]
 
-    def test_extend_geometric(self):
+    def test_longer_geometric_stream(self):
         st = generate(builtin_spec("geometric", 1), 5, 128)
         with pytest.raises(CoeffIndexError):
             theta(st, 7)
-        st2 = extend(st, new_N=10)
+        st2 = generate(builtin_spec("geometric", 1), 10, 128)
         assert theta(st2, 10) == 1
         assert theta(st2, 7) == 1
 
-    def test_extend_requires_growth(self):
-        st = generate(builtin_spec("geometric", 1), 5, 128)
-        with pytest.raises(ValueError):
-            extend(st, new_N=5, prec=128)
-
-    def test_extend_analytic_double_precision_consistent(self):
+    def test_analytic_double_precision_consistent(self):
         st = generate(analytic_spec("zeta-star"), 6, 160)
-        st2 = extend(st, prec=320)
+        st2 = generate(analytic_spec("zeta-star"), 6, 320)
         assert st2.precision_bits == 320
         with workprec(360):
             tol = mpf(2) ** -(160 - 8)
@@ -327,7 +321,7 @@ class TestSeriesOracles:
             return out
 
         monkeypatch.setattr(coeffs, "_series_zeta", skewed)
-        with pytest.raises(QuadratureError) as exc:
+        with pytest.raises(StreamValidationError) as exc:
             generate(analytic_spec("zeta-star"), 6, prec)
         assert exc.value.first_failure == 0
 

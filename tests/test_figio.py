@@ -291,6 +291,21 @@ class TestCli:
         assert "max_index: 5" in out
         assert any(f.endswith(".jsonl") for f in os.listdir(str(tmp_path)))
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--func", "exponential", "--l", "1,2", "--m", "2"],
+        ["check", "2A", "--func", "exponential", "--l", "1,2", "--m-max", "4"],
+    ])
+    def test_extra_l_values_rejected(self, argv, capsys):
+        assert cli(argv) == 2
+        assert "--l" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--jobs", "7"], ["--prec-cap", "1"]])
+    def test_coeffs_rejects_record_flags(self, flag, capsys):
+        rc = cli(["coeffs", "--func", "exponential", "--l", "1",
+                  "--m-max", "3"] + flag)
+        assert rc == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_check_2a_small(self, tmp_path, capsys):
         rc = cli(["check", "2A", "--func", "exponential", "--l", "1",
                   "--m-max", "16", "--digits", "25"])

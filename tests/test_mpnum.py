@@ -257,7 +257,7 @@ class TestAdaptiveSolve:
             rows = [[mpf(1) / (i + j + 1) for j in range(8)] for i in range(8)]
         A = real_matrix(rows, symmetric=True)
         with pytest.raises(PrecisionCapError) as exc:
-            adaptive_solve(A, 200, start_prec=256, prec_cap=512)
+            adaptive_solve(A, 200, prec_cap=512)
         assert exc.value.last is not None
         assert exc.value.previous is not None
 

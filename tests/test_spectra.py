@@ -19,8 +19,9 @@ from hankelspectra import (
     trace,
 )
 from hankelspectra import analytic_spec, signed_hankel
+from hankelspectra import mpnum
 from hankelspectra import spectra as spectra_mod
-from hankelspectra.mpnum import ConvergenceError
+from hankelspectra.mpnum import ConvergenceError, IdentityError
 
 from conftest import bisect_roots, char_poly
 
@@ -261,6 +262,74 @@ class TestSweep:
         assert header == "l,m,n,mu,ln_abs_mu,precision_bits"
         assert len(rows) == 1 + 2 + 3
         assert any(",ZERO," in r for r in rows)
+
+
+class TestIdentityLadder:
+    """The identity is judged inside the one precision ladder."""
+
+    @staticmethod
+    def _levels(monkeypatch):
+        jacobi = mpnum.sym_eigenvalues
+        bits = []
+
+        def counting(A, prec, *args, **kwargs):
+            bits.append(prec)
+            return jacobi(A, prec, *args, **kwargs)
+
+        monkeypatch.setattr(mpnum, "sym_eigenvalues", counting)
+        return bits
+
+    def test_identity_failure_continues_from_agreeing_level(self, exp_stream,
+                                                            monkeypatch):
+        det_lu = mpnum.det_lu
+        wrong = []
+
+        def wrong_once(A, prec):
+            det = det_lu(A, prec)
+            if not wrong:
+                wrong.append(prec)
+                return 2 * det
+            return det
+
+        bits = self._levels(monkeypatch)
+        monkeypatch.setattr(mpnum, "det_lu", wrong_once)
+        rec = compute_spectrum(exp_stream, 1, 3, 30)
+        assert wrong == [512]
+        assert bits == [256, 512, 1024]
+        assert rec.precision_used == 1024
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_zero_at_precision_once(self, analytic, exp_stream,
+                                    zeta_star_stream, monkeypatch):
+        # analytic records continue the ladder past a zero-at-precision;
+        # builtin ones accept it
+        state = mpnum._identity_state
+        calls = []
+
+        def one_zero_once(eigs, det, fnorm, prec):
+            ok, zeros, floor = state(eigs, det, fnorm, prec)
+            calls.append(prec)
+            return (ok, 1, floor) if len(calls) == 1 else (ok, zeros, floor)
+
+        bits = self._levels(monkeypatch)
+        monkeypatch.setattr(mpnum, "_identity_state", one_zero_once)
+        rec = compute_spectrum(zeta_star_stream if analytic else exp_stream,
+                               1, 3, 30)
+        want = [256, 512, 1024] if analytic else [256, 512]
+        assert bits == want
+        assert calls == want[1:]
+        assert rec.precision_used == want[-1]
+
+    def test_identity_failing_everywhere_names_cap(self, exp_stream,
+                                                   monkeypatch):
+        det_lu = mpnum.det_lu
+        monkeypatch.setattr(mpnum, "det_lu", lambda A, prec: 2 * det_lu(A, prec))
+        bits = self._levels(monkeypatch)
+        with pytest.raises(IdentityError,
+                           match="disagrees with the determinant at 1024 bits; "
+                                 "precision cap 1024 reached"):
+            compute_spectrum(exp_stream, 1, 3, 30, prec_cap=1024)
+        assert bits == [256, 512, 1024]
 
 
 class TestPlaceholderRegression:
