@@ -5,11 +5,13 @@
 #   scripts/fixed_outputs.sh OUTDIR
 #
 # The set covers each writer of the program: sweep CSV and JSON, spectrum,
-# dist, checks v3/v5 and 2A-2E, both SVG figures, every manifest and the
-# coefficient cache.  Commands run inside OUTDIR with relative paths, and
-# their exit codes, stdout and stderr go to OUTDIR/log.txt, so two runs of
-# equal code give equal trees.  To show that a change keeps every output
-# byte-identical, run the script in a checkout of each commit and compare:
+# dist, every check id (v2 and v6 with the reference-rate file wl.json that
+# the script writes into OUTDIR, and v6 without it), both SVG figures, every
+# manifest and the coefficient cache.  Commands run inside OUTDIR with
+# relative paths, and their exit codes, stdout and stderr go to
+# OUTDIR/log.txt, so two runs of equal code give equal trees.  To show that
+# a change keeps every output byte-identical, run the script in a checkout
+# of each commit and compare:
 #
 #   diff -r OUT_BEFORE OUT_AFTER
 #
@@ -53,6 +55,13 @@ run spectrum --func exponential --l 2 --m 5 --format json \
 run dist --func exponential --l 1 --m 8 --out dist_exponential.csv
 run check v3 --func exponential --l 1 --m-max 16 --out check_v3.json
 run check v5 --func exponential --l 1 --m-max 12 --out check_v5.json
+echo '{"1": {"W": "2.5", "R": "0.9"}}' > wl.json
+run check v2 --func exponential --l 1 --m-max 16 --wl-file wl.json \
+    --out check_v2.json
+run check v6 --func exponential --l 1 --m-max 16 --wl-file wl.json \
+    --out check_v6.json
+run check v6 --func exponential --l 1 --m-max 16 \
+    --out check_v6_unavailable.json
 run figure spectra --func exponential --l 1 --m-max 10 --policy largest-gap \
     --out figure_spectra.svg
 run figure dist --func exponential --l 1 --m 8 --out figure_dist.svg

@@ -891,7 +891,9 @@ def _cache_load(spec: FunctionSpec, prec: int, cache_dir: str):
                         "non-contiguous cache indices at k=%s" % rec["k"]
                     )
                 values.append(from_decimal(rec["v"], prec))
-    except (ValueError, KeyError) as exc:   # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # malformed JSON is a ValueError; JSON that is not an object gives
+        # TypeError (a values line) or AttributeError (the manifest)
         raise CacheCorruptionError("unreadable cache for %s: %s"
                                    % (spec.name, exc))
     if not values:

@@ -37,6 +37,7 @@ from .dist import distribution_csv, from_log_spectrum
 from .hankel import signed_hankel
 from .harness import (
     CONTRADICTED,
+    _dyadic_tail,
     check_distribution_coincidence,
     check_distribution_convergence,
     check_eigenvalue_product_rate,
@@ -46,7 +47,6 @@ from .harness import (
     estimate_constant_factor,
     estimate_growth_rate,
     load_reference_constants,
-    write_report,
 )
 from .spectra import log_spectrum, spectra_csv, split, sweep
 from .mpnum import DEFAULT_PREC_CAP, det_lu, to_decimal
@@ -313,7 +313,10 @@ def build_parser():
 
 
 def _parse_l_list(s):
-    return [int(tok) for tok in str(s).split(",") if tok != ""]
+    ls = [int(tok) for tok in str(s).split(",") if tok != ""]
+    if not ls:
+        raise ValueError("--l needs at least one value, got %r" % s)
+    return ls
 
 
 def _single_l(s):
@@ -367,17 +370,6 @@ def _record_json(rec):
                             for mu in rec.eigenvalues],
             "zero_count": rec.zero_count,
         }
-
-
-def _dyadic_grid(m_max, floor=2):
-    grid = []
-    m = m_max
-    while m >= floor:
-        grid.append(m)
-        if m % 2:
-            break
-        m //= 2
-    return sorted(grid)
 
 
 def _records_for(args, spec, ls, ms):
@@ -457,52 +449,45 @@ def _cmd_check(args, spec):
     cid = args.check_id
     ls = _parse_l_list(args.l) if cid == "2E" else [_single_l(args.l)]
     l = ls[0]
+    if cid == "2E" and len(set(ls)) < 2:
+        raise ValueError("check 2E needs --l with at least two distinct "
+                         "values, e.g. --l 1,2")
     constants = load_reference_constants(args.wl_file) if args.wl_file else None
     W = constants.growth_rate(l) if constants else None
 
     if cid in ("v2", "v3"):
         stream = _make_stream(args, spec, l, args.m_max)
         bits = _digits_to_bits(args.digits)
-        dets = []
-        for m in range(1, args.m_max + 1):
-            dets.append((m, det_lu(signed_hankel(stream, l, m).matrix, bits)))
-        if cid == "v3":
-            report = replace(estimate_growth_rate(dets), check_id="v3", l=l)
-        else:
-            report = replace(estimate_constant_factor(dets, W),
-                             check_id="v2", l=l)
-    elif cid == "v5":
-        records = _records_for(args, spec, [l], range(1, args.m_max + 1))
-        report = check_eigenvalue_product_rate(records)
-    elif cid == "v6":
-        records = _records_for(args, spec, [l], _dyadic_grid(args.m_max))
-        report = check_mean_trend(_dists_for(records), W, l=l)
-    elif cid in ("2A", "2B"):
-        records = _records_for(args, spec, [l], _dyadic_grid(args.m_max))
-        upper, lower = check_spectrum_divergence(
-            [log_spectrum(r) for r in records])
-        report = upper if cid == "2A" else lower
-    elif cid == "2C":
-        records = _records_for(args, spec, [l],
-                               _dyadic_grid(args.m_max, floor=4))
-        report = replace(check_distribution_convergence(_dists_for(records)),
-                         l=l)
-    elif cid == "2D":
-        records = _records_for(args, spec, [l], _dyadic_grid(args.m_max))
-        report = replace(check_tail_divergence(_dists_for(records)), l=l)
-    else:   # 2E
-        if len(ls) < 2:
-            raise ValueError("check 2E needs --l with at least two values, "
-                             "e.g. --l 1,2")
-        by_l = {}
-        for rec in _records_for(args, spec, ls, _dyadic_grid(args.m_max)):
-            by_l.setdefault(rec.l, []).append(rec)
-        report = check_distribution_coincidence(
-            {li: _dists_for(recs) for li, recs in by_l.items()})
+        dets = [(m, det_lu(signed_hankel(stream, l, m).matrix, bits))
+                for m in range(1, args.m_max + 1)]
+        report = (estimate_growth_rate(dets) if cid == "v3"
+                  else estimate_constant_factor(dets, W))
+        report = replace(report, check_id=cid, l=l)
+    else:
+        floor = {"v5": 1, "2C": 4}.get(cid, 2)
+        if args.m_max < floor:
+            raise ValueError("check %s needs --m-max >= %d, got %d"
+                             % (cid, floor, args.m_max))
+        ms = range(floor, args.m_max + 1)
+        records = _records_for(args, spec, ls,
+                               ms if cid == "v5" else _dyadic_tail(ms))
+        if cid == "v5":
+            report = check_eigenvalue_product_rate(records)
+        elif cid in ("2A", "2B"):
+            upper, lower = check_spectrum_divergence(
+                [log_spectrum(r) for r in records])
+            report = upper if cid == "2A" else lower
+        elif cid == "2E":
+            report = check_distribution_coincidence(
+                {li: _dists_for(r for r in records if r.l == li) for li in ls})
+        elif cid == "v6":
+            report = check_mean_trend(_dists_for(records), W, l=l)
+        elif cid == "2C":
+            report = check_distribution_convergence(_dists_for(records), l=l)
+        else:   # 2D
+            report = check_tail_divergence(_dists_for(records), l=l)
 
-    buf = io.StringIO()
-    write_report(report, buf)
-    _write_text(args.out, buf.getvalue())
+    _write_text(args.out, _json_text(report.to_json()))
     print("check %s: %s" % (cid, report.verdict), file=sys.stderr)
     return 1 if report.verdict == CONTRADICTED else 0
 

@@ -1,18 +1,23 @@
 """Trend checks over sweep outputs: growth rates, constants, divergences.
 
 Every check is a pure function of its input sequences and the documented
-thresholds, reports its estimator id, and returns a deterministic
+thresholds, reports its estimator id, and returns one deterministic
 TrendReport, so re-running a report on cached data is byte-identical.
 Limits cannot be verified at a desk, only trends can: SUPPORTED always
 means "the finite-m data moves the expected way across dyadic
-checkpoints", never "proved".
+checkpoints", never "proved".  The checkpoints are the dyadic tail
+m_max, m_max/2, m_max/4, ... of the available m (``_dyadic_tail``, which
+also gives the CLI its m grids).  Monotone checks fold one verdict per
+step between checkpoints with ``_combine``; shrinking distances use
+``_shrink_verdict``, which contradicts only values that never decrease
+and end above their start.
 
 Growth-rate extrapolation applies the Aitken delta-squared transform to
-the sequence y_m = ln|d_m| / m sampled on the dyadic tail m, m/2, m/4, ...
-On that grid the leading deviation of y from its limit is geometric in the
-level index, which is exactly the error shape Aitken annihilates; for
-perfectly geometric input d_m = c * W^m the transform recovers W to full
-working precision.
+the sequence y_m = ln|d_m| / m sampled on the dyadic tail.  On that grid
+the leading deviation of y from its limit is geometric in the level index,
+which is exactly the error shape Aitken annihilates; for perfectly
+geometric input d_m = c * W^m the transform recovers W to full working
+precision.
 
 Reference growth constants are external configuration (JSON); when absent
 the checks that need them report UNAVAILABLE instead of guessing.
@@ -57,10 +62,10 @@ class TrendReport:
     check_id: str
     l: object
     m_grid: tuple
-    series: dict
     estimator_id: str
-    thresholds: dict
     verdict: str
+    series: dict = field(default_factory=dict)
+    thresholds: dict = field(default_factory=dict)
     limit: mpf | None = None
     notes: tuple = ()
 
@@ -80,7 +85,7 @@ class TrendReport:
             "estimator": self.estimator_id,
             "thresholds": {k: str(v) for k, v in sorted(self.thresholds.items())},
             "verdict": self.verdict,
-            "limit": dec(self.limit) if self.limit is not None else None,
+            "limit": dec(self.limit),
             "notes": list(self.notes),
         }
 
@@ -135,6 +140,22 @@ def _dyadic_tail(ms):
     return list(reversed(chain))
 
 
+def _step(up, down):
+    """The verdict of one step: SUPPORTED if ``up``, CONTRADICTED if ``down``."""
+    return SUPPORTED if up else CONTRADICTED if down else INCONCLUSIVE
+
+
+def _combine(verdicts, any_contradicts=False):
+    """SUPPORTED if every verdict is; CONTRADICTED if every one is, or with
+    ``any_contradicts`` if any one is; INCONCLUSIVE otherwise."""
+    verdicts = list(verdicts)
+    if all(v == SUPPORTED for v in verdicts):
+        return SUPPORTED
+    if (any if any_contradicts else all)(v == CONTRADICTED for v in verdicts):
+        return CONTRADICTED
+    return INCONCLUSIVE
+
+
 def _shrink_verdict(vals):
     """SUPPORTED if vals never increase, CONTRADICTED if they never decrease
     and end above their start, INCONCLUSIVE otherwise."""
@@ -146,15 +167,23 @@ def _shrink_verdict(vals):
     return INCONCLUSIVE
 
 
-def _sign_note(signs):
+def _unavailable(check_id, l, m_grid, estimator_id):
+    return TrendReport(
+        check_id=check_id, l=l, m_grid=tuple(m_grid),
+        estimator_id=estimator_id, verdict=UNAVAILABLE,
+        notes=("no reference growth rate configured",),
+    )
+
+
+def _sign_notes(signs):
     if all(s > 0 for s in signs):
-        return None
+        return []
     if all(s < 0 for s in signs):
-        return "all determinants negative; magnitudes used"
+        return ["all determinants negative; magnitudes used"]
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
     if flips == len(signs) - 1:
-        return "alternating determinant signs; magnitudes used"
-    return "mixed determinant signs; magnitudes used"
+        return ["alternating determinant signs; magnitudes used"]
+    return ["mixed determinant signs; magnitudes used"]
 
 
 def estimate_growth_rate(dets, min_entries: int = 4) -> TrendReport:
@@ -166,10 +195,7 @@ def estimate_growth_rate(dets, min_entries: int = 4) -> TrendReport:
         if d == 0:
             raise ZeroDeterminantError(m)
     wp = 64 + max(x._mpf_[3] if isinstance(x, mpf) else 53 for _, x in dets)
-    notes = []
-    sign_note = _sign_note([1 if d > 0 else -1 for _, d in dets])
-    if sign_note:
-        notes.append(sign_note)
+    notes = _sign_notes([1 if d > 0 else -1 for _, d in dets])
     with workprec(wp):
         roots = [(m, +(abs(mpf(d)) ** (mpf(1) / m))) for m, d in dets]
         ys = {m: mp.log(abs(mpf(d))) / m for m, d in dets}
@@ -178,40 +204,31 @@ def estimate_growth_rate(dets, min_entries: int = 4) -> TrendReport:
             "contraction_max": RATE_CONTRACTION_MAX,
             "flat_eps": RATE_FLAT_EPS,
         }
+        limit, verdict = None, INCONCLUSIVE
         if len(chain) < 3:
-            return TrendReport(
-                check_id="growth-rate", l=None,
-                m_grid=tuple(m for m, _ in dets),
-                series={"mth_root": tuple(roots)},
-                estimator_id="aitken-d2-dyadic-log-root",
-                thresholds=thresholds, verdict=INCONCLUSIVE, limit=None,
-                notes=tuple(notes + ["dyadic tail too short to extrapolate"]),
-            )
-        y = [ys[m] for m in chain]
-        d1 = y[-2] - y[-3]
-        d2 = y[-1] - y[-2]
-        dd = d2 - d1
-        if abs(d2) <= RATE_FLAT_EPS and abs(d1) <= RATE_FLAT_EPS:
-            limit, verdict = +mp.e ** y[-1], SUPPORTED
-            notes.append("stability: log-root increments below %g" % RATE_FLAT_EPS)
-        elif dd == 0:
-            limit, verdict = None, INCONCLUSIVE
-            notes.append("second difference vanished without convergence")
+            notes.append("dyadic tail too short to extrapolate")
         else:
-            limit = +mp.e ** (y[-1] - d2 * d2 / dd)
-            if abs(d1) <= RATE_FLAT_EPS:
-                verdict = INCONCLUSIVE
+            y = [ys[m] for m in chain]
+            d1 = y[-2] - y[-3]
+            d2 = y[-1] - y[-2]
+            dd = d2 - d1
+            if abs(d2) <= RATE_FLAT_EPS and abs(d1) <= RATE_FLAT_EPS:
+                limit, verdict = +mp.e ** y[-1], SUPPORTED
+                notes.append("stability: log-root increments below %g"
+                             % RATE_FLAT_EPS)
+            elif dd == 0:
+                notes.append("second difference vanished without convergence")
             else:
-                q = abs(d2) / abs(d1)
-                notes.append("stability: tail contraction ratio %s"
-                             % mp.nstr(q, 6))
-                if q <= RATE_CONTRACTION_MAX:
-                    verdict = SUPPORTED
-                else:
-                    # no reference value exists to contradict; growing
-                    # increments just mean no finite limit is apparent
-                    verdict = INCONCLUSIVE
-                    if q > 1:
+                limit = +mp.e ** (y[-1] - d2 * d2 / dd)
+                if abs(d1) > RATE_FLAT_EPS:
+                    q = abs(d2) / abs(d1)
+                    notes.append("stability: tail contraction ratio %s"
+                                 % mp.nstr(q, 6))
+                    if q <= RATE_CONTRACTION_MAX:
+                        verdict = SUPPORTED
+                    elif q > 1:
+                        # no reference value exists to contradict; growing
+                        # increments just mean no finite limit is apparent
                         limit = None
                         notes.append("log-root increments grow with m; "
                                      "no finite positive limit apparent")
@@ -227,12 +244,7 @@ def estimate_growth_rate(dets, min_entries: int = 4) -> TrendReport:
 def estimate_constant_factor(dets, growth_rate) -> TrendReport:
     """Estimate the constant in d_m ~ W^m * R from the tail of d_m / W^m."""
     if growth_rate is None:
-        return TrendReport(
-            check_id="constant-factor", l=None, m_grid=(), series={},
-            estimator_id="tail-mean-normalized", thresholds={},
-            verdict=UNAVAILABLE,
-            notes=("no reference growth rate configured",),
-        )
+        return _unavailable("constant-factor", None, (), "tail-mean-normalized")
     W = mpf(growth_rate) if not isinstance(growth_rate, mpf) else growth_rate
     if not W > 0:
         raise ValueError("growth rate must be positive")
@@ -250,15 +262,12 @@ def estimate_constant_factor(dets, growth_rate) -> TrendReport:
         seq = [(m, +(mpf(d) / W ** m)) for m, d in dets]
         tail = seq[-max(3, len(seq) // 4):]
         est = +(mp.fsum(v for _, v in tail) / len(tail))
-        if est != 0:
-            dispersion = +max(abs(v - est) / abs(est) for _, v in tail)
-        else:
-            dispersion = mp.inf
+        dispersion = (+max(abs(v - est) / abs(est) for _, v in tail)
+                      if est != 0 else mp.inf)
         m0, c0 = tail[0]
         m1, c1 = tail[-1]
-        drift = None
-        if c0 != 0 and c1 != 0 and m1 > m0:
-            drift = +(mp.log(abs(c1) / abs(c0)) / (m1 - m0))
+        drift = (+(mp.log(abs(c1) / abs(c0)) / (m1 - m0))
+                 if c0 != 0 and c1 != 0 and m1 > m0 else None)
         if dispersion != mp.inf:
             notes.append("tail dispersion: %s" % mp.nstr(dispersion, 6))
         if drift is not None and abs(drift) > CONST_DRIFT_TOL:
@@ -285,7 +294,11 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
 
     The product/determinant equality is algebraic at every finite m; any
     violation beyond 10^-25 relative signals insufficient precision and
-    raises rather than producing a misleading trend.
+    raises rather than producing a misleading trend.  A record with
+    zeros-at-precision is checked by the rule it was accepted under: both
+    |prod mu| and |det| at most 2^(2m) * prod max(|mu|, zero_threshold).
+    It then counts as product 0, so a trend over 4 or more records raises
+    ``ZeroDeterminantError`` naming its m.
     """
     if not records:
         raise ValueError("no records")
@@ -293,10 +306,16 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
     pairs = []
     roots = []
     for rec in records:
-        wp = rec.precision_used + 32
-        with workprec(wp):
+        with workprec(rec.precision_used + 32):
             prod = mp.fprod(rec.eigenvalues)
-            if not _within_rel(abs(prod), abs(rec.det), PRODUCT_IDENTITY_EXP):
+            if rec.zero_count:
+                bound = mpf(2) ** (2 * rec.m) * mp.fprod(
+                    max(abs(mu), rec.zero_threshold) for mu in rec.eigenvalues)
+                ok = abs(prod) <= bound and abs(rec.det) <= bound
+                prod = mpf(0)
+            else:
+                ok = _within_rel(abs(prod), abs(rec.det), PRODUCT_IDENTITY_EXP)
+            if not ok:
                 raise ProductIdentityError(
                     "l=%d m=%d: |eigenvalue product| and |determinant| "
                     "disagree beyond 1e%d"
@@ -306,35 +325,25 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
         pairs.append((rec.m, prod))
         roots.append((rec.m, root))
     if len(pairs) < 4:
-        return TrendReport(
-            check_id="v5", l=records[0].l,
-            m_grid=tuple(m for m, _ in pairs),
-            series={"product_mth_root": tuple(roots)},
-            estimator_id="aitken-d2-dyadic-log-root",
-            thresholds={"identity_exp": PRODUCT_IDENTITY_EXP},
-            verdict=INCONCLUSIVE, limit=roots[-1][1],
-            notes=("fewer than 4 records; identity verified, no trend",),
-        )
-    base = estimate_growth_rate(pairs)
+        thresholds, verdict, limit = {}, INCONCLUSIVE, roots[-1][1]
+        notes = ("fewer than 4 records; identity verified, no trend",)
+    else:
+        base = estimate_growth_rate(pairs)
+        thresholds, verdict, limit = base.thresholds, base.verdict, base.limit
+        notes = base.notes
     return TrendReport(
-        check_id="v5", l=records[0].l, m_grid=base.m_grid,
+        check_id="v5", l=records[0].l, m_grid=tuple(m for m, _ in pairs),
         series={"product_mth_root": tuple(roots)},
-        estimator_id=base.estimator_id,
-        thresholds=dict(base.thresholds,
-                        identity_exp=PRODUCT_IDENTITY_EXP),
-        verdict=base.verdict, limit=base.limit, notes=base.notes,
+        estimator_id="aitken-d2-dyadic-log-root",
+        thresholds=dict(thresholds, identity_exp=PRODUCT_IDENTITY_EXP),
+        verdict=verdict, limit=limit, notes=notes,
     )
 
 
 def check_mean_trend(dists_by_m, growth_rate, l=None) -> TrendReport:
     """Distribution means versus the log of the reference growth rate."""
     if growth_rate is None:
-        return TrendReport(
-            check_id="v6", l=l, m_grid=tuple(sorted(dists_by_m)), series={},
-            estimator_id="dyadic-gap-monotone", thresholds={},
-            verdict=UNAVAILABLE,
-            notes=("no reference growth rate configured",),
-        )
+        return _unavailable("v6", l, sorted(dists_by_m), "dyadic-gap-monotone")
     W = mpf(growth_rate) if not isinstance(growth_rate, mpf) else growth_rate
     ms = sorted(dists_by_m)
     wp = 64 + max(d.precision_bits for d in dists_by_m.values())
@@ -342,26 +351,14 @@ def check_mean_trend(dists_by_m, growth_rate, l=None) -> TrendReport:
         target = mp.log(W)
         means = [(m, mean(dists_by_m[m])) for m in ms]
         gaps = [(m, +abs(v - target)) for m, v in means]
-        chain = _dyadic_tail(ms)
         gd = dict(gaps)
-        tail = [gd[m] for m in chain]
+        tail = [gd[m] for m in _dyadic_tail(ms)]
         verdict = _shrink_verdict(tail) if len(tail) >= 2 else INCONCLUSIVE
     return TrendReport(
         check_id="v6", l=l, m_grid=tuple(ms),
         series={"mean": tuple(means), "gap_to_log_rate": tuple(gaps)},
-        estimator_id="dyadic-gap-monotone",
-        thresholds={}, verdict=verdict, limit=target, notes=(),
+        estimator_id="dyadic-gap-monotone", verdict=verdict, limit=target,
     )
-
-
-def _divergence_verdict(values, delta):
-    # values on ascending dyadic checkpoints; growth by >= delta per step
-    incs = [b - a for a, b in zip(values, values[1:])]
-    if all(i >= delta for i in incs):
-        return SUPPORTED
-    if any(i <= -delta for i in incs):
-        return CONTRADICTED
-    return INCONCLUSIVE
 
 
 def check_spectrum_divergence(log_spectra, delta=DIVERGENCE_DELTA):
@@ -375,31 +372,30 @@ def check_spectrum_divergence(log_spectra, delta=DIVERGENCE_DELTA):
     if not usable:
         raise ValueError("no nonempty log spectra")
     chain = _dyadic_tail(sorted(usable))[-3:]
-    thresholds = {"delta": delta}
     wp = 64 + max(ls.precision_bits for ls in usable.values())
-    notes = ()
-    if len(chain) < 3:
-        notes = ("fewer than 3 dyadic checkpoints available",)
-    with workprec(wp):
-        maxs = [(m, usable[m].points[-1]) for m in sorted(usable)]
-        mins = [(m, usable[m].points[0]) for m in sorted(usable)]
-        ddelta = mpf(delta)
-        if len(chain) >= 3:
-            up = _divergence_verdict([dict(maxs)[m] for m in chain], ddelta)
-            dn = _divergence_verdict([-dict(mins)[m] for m in chain], ddelta)
-        else:
-            up = dn = INCONCLUSIVE
+    notes = (() if len(chain) >= 3
+             else ("fewer than 3 dyadic checkpoints available",))
     l = next(iter(usable.values())).l
-    mk = lambda cid, series, verdict: TrendReport(
-        check_id=cid, l=l, m_grid=tuple(sorted(usable)), series=series,
-        estimator_id="dyadic-increment", thresholds=thresholds,
-        verdict=verdict, notes=notes,
-    )
-    return (mk("2A", {"max_point": tuple(maxs)}, up),
-            mk("2B", {"min_point": tuple(mins)}, dn))
+    reports = []
+    with workprec(wp):
+        ddelta = mpf(delta)
+        for cid, name, end, sign in (("2A", "max_point", -1, 1),
+                                     ("2B", "min_point", 0, -1)):
+            points = [(m, usable[m].points[end]) for m in sorted(usable)]
+            vals = [sign * usable[m].points[end] for m in chain]
+            steps = (_step(b - a >= ddelta, b - a <= -ddelta)
+                     for a, b in zip(vals, vals[1:]))
+            verdict = (_combine(steps, any_contradicts=True)
+                       if len(chain) >= 3 else INCONCLUSIVE)
+            reports.append(TrendReport(
+                check_id=cid, l=l, m_grid=tuple(sorted(usable)),
+                series={name: tuple(points)}, estimator_id="dyadic-increment",
+                thresholds={"delta": delta}, verdict=verdict, notes=notes,
+            ))
+    return tuple(reports)
 
 
-def check_distribution_convergence(dists_by_m) -> TrendReport:
+def check_distribution_convergence(dists_by_m, l=None) -> TrendReport:
     """Sup distances between F_m and F_2m across dyadic levels."""
     ms = sorted(dists_by_m)
     levels = [(m, 2 * m) for m in ms if 2 * m in dists_by_m]
@@ -409,50 +405,33 @@ def check_distribution_convergence(dists_by_m) -> TrendReport:
     for m, m2 in levels:
         d = sup_distance(dists_by_m[m], dists_by_m[m2])
         seq.append((m, mpf(d.numerator) / d.denominator))
-    verdict = _shrink_verdict([v for _, v in seq])
     return TrendReport(
-        check_id="2C", l=None, m_grid=tuple(m for m, _ in levels),
+        check_id="2C", l=l, m_grid=tuple(m for m, _ in levels),
         series={"sup_distance_m_2m": tuple(seq)},
-        estimator_id="dyadic-sup-distance-monotone", thresholds={},
-        verdict=verdict, notes=(),
+        estimator_id="dyadic-sup-distance-monotone",
+        verdict=_shrink_verdict([v for _, v in seq]),
     )
 
 
-def check_tail_divergence(dists_by_m) -> TrendReport:
+def check_tail_divergence(dists_by_m, l=None) -> TrendReport:
     """Both mean tails must grow in magnitude across dyadic levels."""
     ms = _dyadic_tail(sorted(dists_by_m))
     if len(ms) < 3:
         raise ValueError("need >= 3 dyadic levels")
     wp = 64 + max(d.precision_bits for d in dists_by_m.values())
     with workprec(wp):
-        negs, poss = [], []
-        for m in ms:
-            ts = tail_sums(dists_by_m[m])
-            negs.append((m, +abs(ts.neg)))
-            poss.append((m, ts.pos))
-        grow = lambda vals: all(b > a for a, b in zip(vals, vals[1:]))
-        shrink = lambda vals: all(b < a for a, b in zip(vals, vals[1:]))
-        nvals = [v for _, v in negs]
-        pvals = [v for _, v in poss]
+        tails = [(m, tail_sums(dists_by_m[m])) for m in ms]
+        negs = [(m, +abs(ts.neg)) for m, ts in tails]
+        poss = [(m, ts.pos) for m, ts in tails]
         sub = {}
-        for name, vals in (("neg_tail", nvals), ("pos_tail", pvals)):
-            if grow(vals):
-                sub[name] = SUPPORTED
-            elif shrink(vals):
-                sub[name] = CONTRADICTED
-            else:
-                sub[name] = INCONCLUSIVE
-    if all(v == SUPPORTED for v in sub.values()):
-        verdict = SUPPORTED
-    elif all(v == CONTRADICTED for v in sub.values()):
-        verdict = CONTRADICTED
-    else:
-        verdict = INCONCLUSIVE
+        for name, tail in (("neg_tail", negs), ("pos_tail", poss)):
+            vals = [v for _, v in tail]
+            sub[name] = _combine(_step(b > a, b < a)
+                                 for a, b in zip(vals, vals[1:]))
     return TrendReport(
-        check_id="2D", l=None, m_grid=tuple(ms),
+        check_id="2D", l=l, m_grid=tuple(ms),
         series={"neg_tail_abs": tuple(negs), "pos_tail": tuple(poss)},
-        estimator_id="dyadic-tail-monotone", thresholds={},
-        verdict=verdict,
+        estimator_id="dyadic-tail-monotone", verdict=_combine(sub.values()),
         notes=tuple("%s: %s" % (k, v) for k, v in sorted(sub.items())),
     )
 
@@ -465,8 +444,7 @@ def check_distribution_coincidence(dists_by_l) -> TrendReport:
     ls = sorted(dists_by_l)
     if len(ls) < 2:
         raise ValueError("need at least two l values")
-    common = set.intersection(*(set(dists_by_l[l]) for l in ls))
-    ms = sorted(common)
+    ms = sorted(set.intersection(*(set(dists_by_l[l]) for l in ls)))
     if len(ms) < 2:
         raise ValueError("need at least two common m values")
     series = {}
@@ -480,15 +458,9 @@ def check_distribution_coincidence(dists_by_l) -> TrendReport:
             key = "l%d-l%d" % (l1, l2)
             series[key] = tuple(seq)
             pair_verdicts[key] = _shrink_verdict([v for _, v in seq])
-    if all(v == SUPPORTED for v in pair_verdicts.values()):
-        verdict = SUPPORTED
-    elif any(v == CONTRADICTED for v in pair_verdicts.values()):
-        verdict = CONTRADICTED
-    else:
-        verdict = INCONCLUSIVE
     return TrendReport(
         check_id="2E", l=tuple(ls), m_grid=tuple(ms), series=series,
-        estimator_id="pairwise-sup-distance-monotone", thresholds={},
-        verdict=verdict,
+        estimator_id="pairwise-sup-distance-monotone",
+        verdict=_combine(pair_verdicts.values(), any_contradicts=True),
         notes=tuple("%s: %s" % (k, v) for k, v in sorted(pair_verdicts.items())),
     )

@@ -207,16 +207,24 @@ class TestCache:
         assert b.max_index == 4 and len(b.values) == 5
 
     def test_corrupted_cache_detected(self, tmp_path):
-        # a gap in the indices, then a malformed decimal
-        for i, (key, bad) in enumerate((("k", 17), ("v", "1.0x"))):
+        # a gap in the indices, a malformed decimal, a values line that is
+        # JSON but not an object, then a manifest that is not an object
+        cases = ((".jsonl", "k", 17), (".jsonl", "v", "1.0x"),
+                 (".jsonl", None, [1, 2]), (".manifest.json", None, []))
+        for i, (suffix, key, bad) in enumerate(cases):
             cd = str(tmp_path / str(i))
             generate(builtin_spec("exponential"), 4, 128, cache_dir=cd)
-            jsonl = [f for f in os.listdir(cd) if f.endswith(".jsonl")][0]
-            path = os.path.join(cd, jsonl)
+            name = [f for f in os.listdir(cd) if f.endswith(suffix)][0]
+            path = os.path.join(cd, name)
             lines = open(path).read().splitlines()
-            rec = json.loads(lines[2])
-            rec[key] = bad
-            lines[2] = json.dumps(rec, sort_keys=True)
+            if suffix == ".manifest.json":
+                lines = [json.dumps(bad)]
+            elif key is None:
+                lines[2] = json.dumps(bad)
+            else:
+                rec = json.loads(lines[2])
+                rec[key] = bad
+                lines[2] = json.dumps(rec, sort_keys=True)
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             with pytest.raises(CacheCorruptionError):

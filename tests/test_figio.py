@@ -313,3 +313,44 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["check"] == "2A"
         assert doc["verdict"] in ("SUPPORTED", "INCONCLUSIVE", "CONTRADICTED")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "2A", "--m-max", "1"], "check 2A needs --m-max >= 2"),
+        (["check", "v6", "--m-max", "1"], "check v6 needs --m-max >= 2"),
+        (["check", "2C", "--m-max", "3"], "check 2C needs --m-max >= 4"),
+        (["check", "v5", "--m-max", "0"], "check v5 needs --m-max >= 1"),
+        (["check", "2E", "--l", "1,1", "--m-max", "8"], "two distinct values"),
+        (["coeffs", "--l", "", "--m-max", "3"], "--l needs at least one value"),
+    ], ids=["2A", "v6", "2C", "v5", "2E-repeated-l", "coeffs-empty-l"])
+    def test_empty_inputs_named_before_computing(self, argv, message,
+                                                 monkeypatch, capsys):
+        def no_stream(*args, **kwargs):
+            pytest.fail("a stream was generated")
+
+        monkeypatch.setattr(figio, "generate", no_stream)
+        assert cli(argv + ["--func", "exponential"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cid", ["v2", "v6"])
+    def test_check_reference_rate_from_wl_file(self, cid, tmp_path, capsys):
+        wl = tmp_path / "wl.json"
+        wl.write_text(json.dumps({"1": {"W": "2.5", "R": "0.9"}}))
+        argv = ["check", cid, "--func", "exponential", "--l", "1",
+                "--m-max", "8"]
+        rc = cli(argv + ["--wl-file", str(wl)])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["check"] == cid and doc["l"] == 1
+        assert doc["verdict"] in ("SUPPORTED", "INCONCLUSIVE", "CONTRADICTED")
+        assert rc == (1 if doc["verdict"] == "CONTRADICTED" else 0)
+        assert cli(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["check"] == cid and doc["l"] == 1
+        assert doc["verdict"] == "UNAVAILABLE"
+
+    @pytest.mark.parametrize("cid, m_max", [("2C", "32"), ("2D", "8")])
+    def test_dyadic_reports_carry_l(self, cid, m_max, capsys):
+        rc = cli(["check", cid, "--func", "exponential", "--l", "1",
+                  "--m-max", m_max, "--digits", "25"])
+        assert rc in (0, 1)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["check"] == cid and doc["l"] == 1

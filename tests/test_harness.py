@@ -9,6 +9,7 @@ from hankelspectra import (
     INCONCLUSIVE,
     SUPPORTED,
     UNAVAILABLE,
+    builtin_spec,
     check_distribution_coincidence,
     check_distribution_convergence,
     check_eigenvalue_product_rate,
@@ -17,8 +18,10 @@ from hankelspectra import (
     check_tail_divergence,
     estimate_constant_factor,
     estimate_growth_rate,
+    generate,
     load_reference_constants,
     step_distribution,
+    sweep,
     write_report,
 )
 from hankelspectra.harness import ProductIdentityError, ZeroDeterminantError
@@ -157,6 +160,26 @@ class TestEigenvalueProductRate:
         rec = synthetic_record(2, [0, 2], det=mpf(0))
         rep = check_eigenvalue_product_rate([rec])
         assert rep.verdict == INCONCLUSIVE
+
+    def test_zeros_at_precision_checked_by_zero_rule(self):
+        # rational2:2,1 has rank-2 Hankel matrices: from m=3 on, a record
+        # is accepted with tiny nonzero eigenvalues and determinant, which
+        # the 1e-25 relative recheck cannot compare
+        stream = generate(builtin_spec("rational2", 2, 1), 6, 256)
+        records = sweep(stream, 1, range(1, 7), 30).records
+        assert [r.m for r in records] == [1, 2, 3, 4, 5, 6]
+        assert records[2].zero_count == 1 and records[2].det != 0
+        rep = check_eigenvalue_product_rate(records[:3])
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.series["product_mth_root"][2] == (3, 0)
+        with pytest.raises(ZeroDeterminantError) as exc:
+            check_eigenvalue_product_rate(records)
+        assert exc.value.m == 3
+
+    def test_zero_rule_bound_violation_raises(self):
+        rec = synthetic_record(2, [0, 2], det=mpf(1))
+        with pytest.raises(ProductIdentityError):
+            check_eigenvalue_product_rate([rec])
 
 
 class TestMeanTrend:
