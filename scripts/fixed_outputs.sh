@@ -52,6 +52,10 @@ run sweep --func geometric:1 --l 1 --m-max 6 --format json \
     --out sweep_geometric.json
 run spectrum --func exponential --l 2 --m 5 --format json \
     --out spectrum_exponential.json
+# m=64 is the smallest zeta-star size at which a rounded Givens numerator
+# stalls implicit QL
+run spectrum --func zeta-star --l 1 --m 64 --digits 30 --format json \
+    --out spectrum_zeta_star.json
 run dist --func exponential --l 1 --m 8 --out dist_exponential.csv
 run check v3 --func exponential --l 1 --m-max 16 --out check_v3.json
 run check v5 --func exponential --l 1 --m-max 12 --out check_v5.json

@@ -469,8 +469,18 @@ def _cmd_check(args, spec):
             raise ValueError("check %s needs --m-max >= %d, got %d"
                              % (cid, floor, args.m_max))
         ms = range(floor, args.m_max + 1)
-        records = _records_for(args, spec, ls,
-                               ms if cid == "v5" else _dyadic_tail(ms))
+        grid = ms if cid == "v5" else _dyadic_tail(ms)
+        # 2C compares m with 2m on three levels; 2D needs three levels
+        levels = {"2C": 4, "2D": 3}.get(cid, 1)
+        if len(grid) < levels:
+            raise ValueError("check %s needs >= %d dyadic sizes (m-max, "
+                             "m-max/2, ...) no smaller than %d, but --m-max "
+                             "%d gives %s"
+                             % (cid, levels, floor, args.m_max, grid))
+        # without a reference rate v6 is UNAVAILABLE: its report needs
+        # only the grid, so no record is computed
+        unavailable = cid == "v6" and W is None
+        records = [] if unavailable else _records_for(args, spec, ls, grid)
         if cid == "v5":
             report = check_eigenvalue_product_rate(records)
         elif cid in ("2A", "2B"):
@@ -481,7 +491,9 @@ def _cmd_check(args, spec):
             report = check_distribution_coincidence(
                 {li: _dists_for(r for r in records if r.l == li) for li in ls})
         elif cid == "v6":
-            report = check_mean_trend(_dists_for(records), W, l=l)
+            report = check_mean_trend(
+                dict.fromkeys(grid) if unavailable else _dists_for(records),
+                W, l=l)
         elif cid == "2C":
             report = check_distribution_convergence(_dists_for(records), l=l)
         else:   # 2D

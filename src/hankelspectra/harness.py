@@ -341,7 +341,11 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
 
 
 def check_mean_trend(dists_by_m, growth_rate, l=None) -> TrendReport:
-    """Distribution means versus the log of the reference growth rate."""
+    """Distribution means versus the log of the reference growth rate.
+
+    With no growth rate the report is UNAVAILABLE and reads only the keys
+    of ``dists_by_m``.
+    """
     if growth_rate is None:
         return _unavailable("v6", l, sorted(dists_by_m), "dyadic-gap-monotone")
     W = mpf(growth_rate) if not isinstance(growth_rate, mpf) else growth_rate

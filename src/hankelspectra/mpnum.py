@@ -7,27 +7,33 @@ explicit working precision, which keeps the routines independent of the
 global mpmath context and safe to call concurrently from worker processes.
 
 * ``det_lu``          -- determinant via LU with partial pivoting,
-* ``sym_eigenvalues`` -- cyclic Jacobi for real symmetric matrices,
-* ``adaptive_solve``  -- the one precision ladder: Jacobi at doubling
-                         precisions until two consecutive levels agree and
-                         the product/determinant identity holds.
+* ``sym_eigenvalues`` -- Householder tridiagonalisation plus implicit QL
+                         for real symmetric matrices,
+* ``adaptive_solve``  -- the one precision ladder: ``sym_eigenvalues`` at
+                         doubling precisions until two consecutive levels
+                         agree and the product/determinant identity holds.
 
 ``det_lu``, ``trace`` and ``frobenius_norm`` compute in floating point with
 ``prec + 32 + 2*ceil(log2(m))`` guard bits and round results to the
-requested precision.  Jacobi runs in fixed point instead: one power of two
-scales the matrix to norm at most 1, every entry becomes an integer with
-those guard bits plus 16 more as fraction bits, and each update is an
-integer product followed by a floor shift.  Its error is therefore
-absolute, about 2^-(prec+48) * ||A||_F, below the zero floor
-||A||_F * 2^-(prec-16) under which an eigenvalue counts as zero; relative
-digits of small eigenvalues come from the ladder's higher levels, not from
-the kernel.
+requested precision.  The eigensolver runs in fixed point instead: one
+power of two scales the matrix to norm at most 1, every entry becomes an
+integer with those guard bits plus 16 more as fraction bits, and each
+update of the Householder reduction and of the QL chase is integer
+arithmetic floored back to that fixed point (Parlett, The Symmetric
+Eigenvalue Problem, ch. 7-8; Golub & Van Loan, Matrix Computations,
+sec. 8.3).  Its rounding error is therefore absolute, about
+2^-(prec+48) * ||A||_F, below the zero floor ||A||_F * 2^-(prec-16) under
+which an eigenvalue counts as zero; relative digits of small eigenvalues
+come from the ladder's higher levels, not from the kernel.  A computed
+eigenvalue within 2^-(prec+32) * 2^E of 0, inside that rounding, is
+reported as exact 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import add, mul
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -63,7 +69,7 @@ class NonSymmetricError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach the requested residual."""
+    """QL iteration failed to reach the requested residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -255,6 +261,7 @@ def _exactly_singular(A: RealMatrix) -> bool:
 class EigenResult:
     """Sorted-ascending eigenvalues plus the precision/residual they carry.
 
+    ``sweeps`` counts the QL iterations of ``sym_eigenvalues``.
     ``adaptive_solve`` also fills in the determinant and the zero floor of
     the level it accepted.
     """
@@ -281,18 +288,103 @@ def _diagonal_result(rows, prec):
                        offdiag_residual=make_mpf(fzero), sweeps=0)
 
 
+def _tridiagonalize(a, F):
+    """Householder reduction of a scaled upper triangle to (d, e).
+
+    Step k reflects rows and columns k+1..n-1 with H = I - 2uu^T, u a unit
+    vector at scale F: p = Bu, w = p - (u^T p)u, B -= 2(uw^T + wu^T) on the
+    trailing upper triangle B.  A row already zero past its first
+    off-diagonal entry is left alone, so tridiagonal input stays exact.
+    Returns the diagonal d and off-diagonal e (e[i] couples i and i+1,
+    e[n-1] = 0), all at scale F.
+    """
+    n = len(a)
+    d, e = [0] * n, [0] * n
+    for k in range(n - 1):
+        row = a[k]
+        d[k], x = row[0], row[1:]
+        if not any(x[1:]):
+            e[k] = x[0]
+            continue
+        sigma = sum(v * v for v in x)
+        alpha = math.isqrt(sigma)
+        if x[0] >= 0:
+            alpha = -alpha
+        e[k] = alpha
+        x[0] -= alpha
+        vn = math.isqrt(sum(v * v for v in x))
+        u = [(v << F) // vn for v in x]
+        B = a[k + 1:]
+        p = [0] * len(B)
+        for i, brow in enumerate(B):
+            ui = u[i]
+            p[i] += sum(map(mul, brow, u[i:]))
+            if ui:
+                p[i + 1:] = map(add, p[i + 1:], [ui * v for v in brow[1:]])
+        p = [v >> F for v in p]
+        K = sum(map(mul, u, p)) >> F
+        w = [v - (K * ui >> F) for v, ui in zip(p, u)]
+        s = F - 1
+        for i, brow in enumerate(B):
+            ui, wi = u[i], w[i]
+            brow[:] = [v - ((ui * wj + wi * uj) >> s)
+                       for v, wj, uj in zip(brow, w[i:], u[i:])]
+    d[n - 1] = a[n - 1][0]
+    return d, e
+
+
+def _ql_step(d, e, l, m, F):
+    """One implicit QL iteration with a Wilkinson shift on rows l..m.
+
+    The Givens chase runs from m-1 up to l.  Its numerator f = s * e_i and
+    the shifted g are kept at scale 2F, so the rotation stays accurate when
+    e_l is a few units; a rounded f stalls the convergence there.
+    """
+    el, dl = e[l], d[l]
+    delta = d[l + 1] - dl
+    root = math.isqrt(delta * delta + 4 * el * el)
+    if delta < 0:
+        root = -root
+    g = d[m] - dl + (2 * el * el) // (delta + root)
+    s = c = 1 << F
+    p = 0
+    for i in range(m - 1, l - 1, -1):
+        ei = e[i]
+        f, b = s * ei, c * ei
+        G = g << F
+        r = math.isqrt(f * f + G * G)
+        if i + 1 < m:
+            e[i + 1] = r >> F
+        if not r:
+            d[i + 1] -= p
+            return
+        s, c = (f << F) // r, (G << F) // r
+        g = d[i + 1] - p
+        r = (((d[i] - g) * s << F) + 2 * c * b) >> 2 * F
+        p = s * r >> F
+        d[i + 1] = g + p
+        g = (c * r - b) >> F
+    d[l] -= p
+    e[l] = g
+
+
 def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
                     max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenResult:
-    """Cyclic Jacobi eigenvalues of a symmetric matrix, in fixed point.
+    """Eigenvalues of a symmetric matrix by Householder and implicit QL.
 
     The entries are scaled by one power of two 2^-E with 2^E >= ||A||_F and
     rounded to integers with F = guard_prec(prec, n) + 16 fractional bits.
-    Sweeps rotate every upper off-diagonal pair in row order until the
-    exact integer off-diagonal sum of squares drops below tol^2 * ||A||_F^2;
-    each update is a product followed by a floor shift, so the absolute
-    error stays near 2^-(prec+48) * ||A||_F, below the zero floor
-    ||A||_F * 2^-(prec-16).  The diagonal is rounded to ``prec`` once and
-    comes back sorted ascending.
+    Householder reflections reduce the matrix to tridiagonal form in one
+    pass; implicit QL with a Wilkinson shift then chases each off-diagonal
+    e_i down until e_i^2 <= tol^2 * ||A||_F^2, compared exactly as integers.
+    ``max_sweeps`` caps the QL iterations per eigenvalue and ``sweeps``
+    counts them all; past the cap, ``ConvergenceError`` carries the
+    off-diagonal Frobenius norm of the current matrix.  Each update is
+    integer arithmetic floored back to scale F, so the rounding error stays
+    near 2^-(prec+48) * ||A||_F, below the zero floor
+    ||A||_F * 2^-(prec-16); a value within 2^-(prec+32) * 2^E of 0, inside
+    the kernel's own rounding, is reported as exact 0.  The diagonal is
+    rounded to ``prec`` once and comes back sorted ascending.
     """
     if not A.symmetric:
         raise NonSymmetricError("sym_eigenvalues requires the symmetric flag")
@@ -306,61 +398,43 @@ def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
     top = max(r[2] + r[3] for row in rows for r in row if r[1])
     F = guard_prec(prec, n) + 16
     E = top + (n - 1).bit_length()     # 2^E >= n * max|a_ij| >= ||A||_F
-    a = [[_to_fixed(r, F - E) for r in row] for row in rows]
+    # upper triangle: a[i][j - i] holds entry (i, j) for j >= i
+    a = [[_to_fixed(r, F - E) for r in row[i:]] for i, row in enumerate(rows)]
 
-    # converged once off2 <= tol^2 * ||A||_F^2, compared exactly as integers
+    # e_i is deflated once e_i^2 <= tol^2 * ||A||_F^2, i.e. |e_i| <= lim
     _, tman, texp, _ = tol._mpf_ if isinstance(tol, mpf) else mpf(tol)._mpf_
-    thresh = tman * tman * sum(x * x for row in a for x in row)
-    thresh <<= max(0, 2 * texp)
-    off_shift = max(0, -2 * texp)
-    one2 = 1 << 2 * F
+    norm2 = sum(2 * sum(x * x for x in row) - row[0] * row[0] for row in a)
+    lim = math.isqrt((tman * tman * norm2 << max(0, 2 * texp))
+                     >> max(0, -2 * texp))
 
-    def offdiag2():
-        return 2 * sum(x * x for i, row in enumerate(a) for x in row[i + 1:])
+    d, e = _tridiagonalize(a, F)
+
+    def residual():
+        # off-diagonal Frobenius norm of the current tridiagonal matrix
+        off2 = 2 * sum(x * x for x in e)
+        return make_mpf(mpf_sqrt(from_man_exp(off2, 2 * (E - F)), prec, _RND))
 
     sweeps = 0
-    off2 = offdiag2()
-    while off2 << off_shift > thresh:
-        if sweeps >= max_sweeps:
-            resid = make_mpf(mpf_sqrt(from_man_exp(off2, 2 * (E - F)),
-                                      prec, _RND))
-            raise ConvergenceError(
-                "Jacobi did not converge in %d sweeps (residual %s)"
-                % (max_sweeps, mp.nstr(resid, 8)),
-                residual=resid,
-            )
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                ap, aq = a[p], a[q]
-                apq = ap[q]
-                if not apq:
-                    continue
-                app, aqq = ap[p], aq[q]
-                d = aqq - app
-                two = 2 * apq
-                # t = tan(theta) with |t| <= 1, and c = cos, s = sin
-                t = (two << F) // (abs(d) + math.isqrt(d * d + two * two))
-                if d < 0:
-                    t = -t
-                c = one2 // math.isqrt(one2 + t * t)
-                s = (t * c) >> F
-                newp = [(c * x - s * y) >> F for x, y in zip(ap, aq)]
-                newq = [(s * x + c * y) >> F for x, y in zip(ap, aq)]
-                tapq = (t * apq) >> F
-                newp[p], newq[q] = app - tapq, aqq + tapq
-                newp[q] = newq[p] = 0
-                a[p], a[q] = newp, newq
-                for row, x, y in zip(a, newp, newq):
-                    row[p] = x
-                    row[q] = y
-        off2 = offdiag2()
+    for l in range(n):
+        its = 0
+        while True:
+            m = next((i for i in range(l, n - 1) if abs(e[i]) <= lim), n - 1)
+            if m == l:
+                break
+            if its >= max_sweeps:
+                resid = residual()
+                raise ConvergenceError(
+                    "QL did not converge in %d iterations (residual %s)"
+                    % (max_sweeps, mp.nstr(resid, 8)), residual=resid)
+            its += 1
+            sweeps += 1
+            _ql_step(d, e, l, m, F)
 
-    eigs = sorted(make_mpf(from_man_exp(a[i][i], E - F, prec, _RND))
-                  for i in range(n))
-    resid = make_mpf(mpf_sqrt(from_man_exp(off2, 2 * (E - F)), prec, _RND))
+    zero = 1 << (F - prec - 32)        # 2^-(prec+32) * 2^E at scale F
+    eigs = sorted(make_mpf(from_man_exp(x, E - F, prec, _RND)
+                           if abs(x) > zero else fzero) for x in d)
     return EigenResult(eigenvalues=tuple(eigs), precision_used=prec,
-                       offdiag_residual=resid, sweeps=sweeps)
+                       offdiag_residual=residual(), sweeps=sweeps)
 
 
 def _agree(prev: EigenResult, cur: EigenResult, target_digits: int, wp: int) -> bool:
@@ -403,7 +477,7 @@ def _identity_state(eigs, det, fnorm, prec):
 def adaptive_solve(A: RealMatrix, target_digits: int,
                    prec_cap: int = DEFAULT_PREC_CAP,
                    allow_zeros: bool = True) -> EigenResult:
-    """Eigenvalues by Jacobi at doubling precisions from 256 bits.
+    """Eigenvalues by ``sym_eigenvalues`` at doubling precisions from 256 bits.
 
     A level agrees when it matches the previous one on every eigenvalue to
     ``target_digits`` relative digits (absolute for values below

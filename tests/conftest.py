@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's own LU / Jacobi code
-paths: determinants come from exact-rational cofactor expansion, and
+The oracles here deliberately avoid the library's own LU / eigensolver
+code paths: determinants come from exact-rational cofactor expansion, and
 eigenvalue references come from exact characteristic polynomials
 (Faddeev-LeVerrier over Fractions) whose real roots are isolated by plain
 sign-change bisection at high precision, or from mpmath's own symmetric

@@ -321,7 +321,11 @@ class TestCli:
         (["check", "v5", "--m-max", "0"], "check v5 needs --m-max >= 1"),
         (["check", "2E", "--l", "1,1", "--m-max", "8"], "two distinct values"),
         (["coeffs", "--l", "", "--m-max", "3"], "--l needs at least one value"),
-    ], ids=["2A", "v6", "2C", "v5", "2E-repeated-l", "coeffs-empty-l"])
+        (["check", "2C", "--m-max", "16"], "--m-max 16 gives [4, 8, 16]"),
+        (["check", "2C", "--m-max", "24"], "--m-max 24 gives [6, 12, 24]"),
+        (["check", "2D", "--m-max", "6"], "--m-max 6 gives [3, 6]"),
+    ], ids=["2A", "v6", "2C", "v5", "2E-repeated-l", "coeffs-empty-l",
+            "2C-grid-16", "2C-grid-24", "2D-grid-6"])
     def test_empty_inputs_named_before_computing(self, argv, message,
                                                  monkeypatch, capsys):
         def no_stream(*args, **kwargs):
@@ -330,6 +334,17 @@ class TestCli:
         monkeypatch.setattr(figio, "generate", no_stream)
         assert cli(argv + ["--func", "exponential"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_v6_unavailable_computes_no_record(self, monkeypatch, capsys):
+        def no_stream(*args, **kwargs):
+            pytest.fail("a stream was generated")
+
+        monkeypatch.setattr(figio, "generate", no_stream)
+        assert cli(["check", "v6", "--func", "exponential", "--l", "1",
+                    "--m-max", "16"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "UNAVAILABLE"
+        assert doc["m_grid"] == [2, 4, 8, 16] and doc["series"] == {}
 
     @pytest.mark.parametrize("cid", ["v2", "v6"])
     def test_check_reference_rate_from_wl_file(self, cid, tmp_path, capsys):

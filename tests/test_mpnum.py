@@ -7,6 +7,7 @@ from mpmath.libmp import mpf_shift
 
 from hankelspectra import (
     adaptive_solve,
+    analytic_spec,
     builtin_spec,
     det_lu,
     frobenius_norm,
@@ -185,6 +186,12 @@ class TestFixedPointEdges:
         assert sym_eigenvalues(ones, 128, self.TOL).eigenvalues == \
             (mpf(0), mpf(2))
 
+    def test_all_ones_zeros_exact(self):
+        # rank one: five eigenvalues inside the kernel's rounding come back 0
+        ones = real_matrix([[1] * 6] * 6, symmetric=True)
+        res = sym_eigenvalues(ones, 256, self.TOL)
+        assert res.eigenvalues == (mpf(0),) * 5 + (mpf(6),)
+
 
 def _c9_matrix():
     # the benchmark's c9 recipe with seed 1: 25 moments, l=1, m=24, 77 digits
@@ -195,7 +202,7 @@ def _c9_matrix():
 
 
 class TestIndependentOracle:
-    """Jacobi against mpmath's eigsy at 2*prec + 64 bits."""
+    """The eigensolver against mpmath's eigsy at 2*prec + 64 bits."""
 
     def _check(self, A, digits):
         res = adaptive_solve(A, digits)
@@ -222,6 +229,20 @@ class TestIndependentOracle:
 
     def test_zeta_star_m16(self, zeta_star_stream):
         self._check(signed_hankel(zeta_star_stream, 1, 16).matrix, 30)
+
+    @pytest.mark.parametrize("m", [64, 96])
+    def test_zeta_star_converges_at_512_bits(self, m):
+        # sizes at which a Givens numerator rounded to F fraction bits
+        # leaves e_l stalled a little above the deflation threshold
+        stream = generate(analytic_spec("zeta-star"), m, 256)
+        A = signed_hankel(stream, 1, m).matrix
+        prec = 512
+        res = sym_eigenvalues(A, prec, mpf(2) ** -(prec - 8))
+        oracle = eigsy_oracle(A.entries, prec)
+        with workprec(2 * prec + 64):
+            bound = frobenius_norm(A, 64) * mpf(2) ** -(prec - 2)
+            for e, o in zip(res.eigenvalues, oracle):
+                assert abs(e - o) <= bound, (e, o, bound)
 
 
 class TestAdaptiveSolve:

@@ -216,7 +216,7 @@ class TestSweep:
 
         def failing_at_3(A, *args, **kwargs):
             if A.dim == 3:
-                raise ConvergenceError("Jacobi did not converge")
+                raise ConvergenceError("QL did not converge")
             return solve(A, *args, **kwargs)
 
         monkeypatch.setattr(spectra_mod, "adaptive_solve", failing_at_3)
