@@ -7,9 +7,10 @@
 # The set covers each writer of the program: sweep CSV and JSON, spectrum,
 # dist, every check id (v2 and v6 with the reference-rate file wl.json that
 # the script writes into OUTDIR, and v6 without it), both SVG figures, every
-# manifest and the coefficient cache.  Commands run inside OUTDIR with
-# relative paths, and their exit codes, stdout and stderr go to
-# OUTDIR/log.txt, so two runs of equal code give equal trees.  To show that
+# manifest, the coefficient cache and the record store, which a repeated
+# check reads back.  Commands run inside OUTDIR with relative paths, and
+# their exit codes, stdout and stderr go to OUTDIR/log.txt, so two runs of
+# equal code give equal trees.  To show that
 # a change keeps every output byte-identical, run the script in a checkout
 # of each commit and compare:
 #
@@ -72,4 +73,7 @@ run figure dist --func exponential --l 1 --m 8 --out figure_dist.svg
 for cid in 2A 2B 2C 2D; do
     run check "$cid" --func zeta-star --l 1 --m-max 32 --out "check_$cid.json"
 done
+# the same check again on the same cache: its records come from the record
+# store, so this output shows that a reloaded record writes the same bytes
+run check 2A --func zeta-star --l 1 --m-max 32 --out check_2A_again.json
 run check 2E --func zeta-star --l 1,2 --m-max 32 --out check_2E.json

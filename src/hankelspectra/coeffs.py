@@ -36,8 +36,11 @@ to max(1, |c_k|); that is the precision the stream states.  Point values
 
 Disk cache: one JSON-lines file per (spec hash, precision) with records
 ``{"k": int, "v": decimal string, "bits": int}`` plus a sidecar manifest
-holding the full spec.  Decimal strings round-trip bit-exactly, and writes
-are create-then-rename, so concurrent readers never observe partial files.
+holding the full spec.  The file holds the whole evaluation, which for an
+analytic stream runs to the end of a block of ``STREAM_BLOCK``
+coefficients, and serves every shorter request.  Decimal strings
+round-trip bit-exactly, and writes are create-then-rename, so concurrent
+readers never observe partial files.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ JET_GUARD_BITS = (64, 96)     # the two working precisions above prec
 # a check that no longer applies because provenance carries no node count.
 # It goes when the benchmark drops that read.
 QUAD_NODE_FACTOR = 8
+
+# analytic streams are evaluated in whole blocks of coefficients, so
+# requests a few indices apart share one cached evaluation
+STREAM_BLOCK = 8
 
 CACHE_ENV_VAR = "HANKELSPECTRA_CACHE"
 CACHE_FORMAT = 2    # 1 held ring-quadrature values; other formats are misses
@@ -83,7 +90,12 @@ class StreamValidationError(RuntimeError):
 
 
 class ComplexStreamError(ValueError):
-    """An analytic stream whose coefficients are not real."""
+    """An analytic stream whose coefficients are not real; the first such
+    index is in ``first_failure``."""
+
+    def __init__(self, message, first_failure=None):
+        super().__init__(message)
+        self.first_failure = first_failure
 
 
 class CoeffIndexError(IndexError):
@@ -765,7 +777,7 @@ def _jet_values(spec: FunctionSpec, N: int, prec: int):
                 raise ComplexStreamError(
                     "coefficient %d of %s is not real (%s); the stream must be "
                     "real for real symmetric matrices"
-                    % (k, spec.name, mp.nstr(c, 12)))
+                    % (k, spec.name, mp.nstr(c, 12)), first_failure=k)
     hi = _jet_coeffs(fn, s0, N, wp_hi)
     with workprec(wp_lo):
         for k in range(N + 1):
@@ -777,28 +789,54 @@ def _jet_values(spec: FunctionSpec, N: int, prec: int):
         return tuple(+mp.re(v) for v in hi)
 
 
+def _analytic_values(spec: FunctionSpec, N: int, prec: int):
+    """``_jet_values`` rounded up to a whole block: indices 0..N_gen with
+    N_gen + 1 the next multiple of ``STREAM_BLOCK``.
+
+    When the padded evaluation fails validation at an index above N, or at
+    an index it does not name, coefficients 0..N are evaluated once more on
+    their own.
+    """
+    n_gen = -(-(N + 1) // STREAM_BLOCK) * STREAM_BLOCK - 1
+    try:
+        return _jet_values(spec, n_gen, prec)
+    except (StreamValidationError, ComplexStreamError) as exc:
+        if n_gen == N or (exc.first_failure is not None
+                          and exc.first_failure <= N):
+            raise
+    return _jet_values(spec, N, prec)
+
+
+def _prefix(stream: CoeffStream, N: int) -> CoeffStream:
+    if stream.max_index == N:
+        return stream
+    return replace(stream, max_index=N, values=stream.values[: N + 1])
+
+
 def generate(spec: FunctionSpec, N: int, prec: int,
              cache_dir: str | None = None) -> CoeffStream:
     """Coefficients 0..N of ``spec`` at ``prec`` bits.
 
     Deterministic: identical (spec, N, prec) yields bit-identical values.
-    With ``cache_dir`` set, streams are reused from / saved to disk; a
-    cached file is only used when its precision matches exactly, so cache
-    hits never change results.
+    Analytic streams are evaluated to the end of the block of
+    ``STREAM_BLOCK`` coefficients that holds index N and cut back to N;
+    builtin families are evaluated to N exactly, since ``user-moments``
+    has finite length.  With ``cache_dir`` set, streams are reused from /
+    saved to disk, the whole evaluation being saved; a cached file is only
+    used when its precision matches exactly and it reaches index N, so
+    cache hits never change results.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     if cache_dir:
         cached = _cache_load(spec, prec, cache_dir)
         if cached is not None and cached.max_index >= N:
-            if cached.max_index == N:
-                return cached
-            return replace(cached, max_index=N, values=cached.values[: N + 1])
+            return _prefix(cached, N)
     if spec.kind == "builtin":
         values = _builtin_values(spec, N, prec)
         prov = "closed form: %s" % spec.name
     elif spec.kind == "analytic":
-        values = _jet_values(spec, N, prec)
+        values = _analytic_values(spec, N, prec)
         base = GENERATORS.get(spec.generator_id, {}).get(
             "provenance", "analytic expression %r" % spec.pole_removal
         )
@@ -806,11 +844,11 @@ def generate(spec: FunctionSpec, N: int, prec: int,
                 "two working precisions" % base)
     else:
         raise UnknownGeneratorError("unknown spec kind %r" % spec.kind)
-    stream = CoeffStream(spec=spec, max_index=N, values=values,
+    stream = CoeffStream(spec=spec, max_index=len(values) - 1, values=values,
                          precision_bits=prec, provenance=prov)
     if cache_dir:
         _cache_store(stream, cache_dir)
-    return stream
+    return _prefix(stream, N)
 
 
 # ---------------------------------------------------------------------------

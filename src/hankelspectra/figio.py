@@ -255,7 +255,8 @@ def _add_common(p):
     p.add_argument("--digits", type=int, default=30,
                    help="target agreement digits for eigenvalues")
     p.add_argument("--cache-dir", default=None,
-                   help="coefficient cache directory (default: $%s)"
+                   help="cache directory for coefficient streams and, under "
+                        "records/, spectrum records (default: $%s)"
                         % CACHE_ENV_VAR)
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -337,8 +338,7 @@ def _parse_policy(s):
 
 def _make_stream(args, spec, l, m_needed):
     bits = _digits_to_bits(args.digits)
-    cache = args.cache_dir or default_cache_dir()
-    return generate(spec, l + m_needed - 1, bits, cache_dir=cache)
+    return generate(spec, l + m_needed - 1, bits, cache_dir=args.cache_dir)
 
 
 def _write_manifest(args, spec, l, m_grid, out):
@@ -382,7 +382,7 @@ def _records_for(args, spec, ls, ms):
     records, failed = [], []
     for l in ls:
         result = sweep(stream, l, ms, args.digits, jobs=args.jobs,
-                       prec_cap=args.prec_cap)
+                       prec_cap=args.prec_cap, cache_dir=args.cache_dir)
         records.extend(result.records)
         failed.extend("l=%d m=%d: %s" % (l, m, err)
                       for m, err in sorted(result.failures.items()))
@@ -422,7 +422,8 @@ def _cmd_sweep(args, spec):
     l = _single_l(args.l)
     stream = _make_stream(args, spec, l, args.m_max)
     result = sweep(stream, l, range(1, args.m_max + 1), args.digits,
-                   jobs=args.jobs, prec_cap=args.prec_cap)
+                   jobs=args.jobs, prec_cap=args.prec_cap,
+                   cache_dir=args.cache_dir)
     for m, err in sorted(result.failures.items()):
         print("m=%d failed: %s" % (m, err), file=sys.stderr)
     records = result.records
@@ -544,6 +545,7 @@ def cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.cache_dir = args.cache_dir or default_cache_dir()
     try:
         return _COMMANDS[args.command](args, parse_func_token(args.func))
     except BrokenPipeError:

@@ -9,9 +9,11 @@ global mpmath context and safe to call concurrently from worker processes.
 * ``det_lu``          -- determinant via LU with partial pivoting,
 * ``sym_eigenvalues`` -- Householder tridiagonalisation plus implicit QL
                          for real symmetric matrices,
+* ``accept_level``    -- the one acceptance rule: the product/determinant
+                         identity and the zero-at-precision policy,
 * ``adaptive_solve``  -- the one precision ladder: ``sym_eigenvalues`` at
                          doubling precisions until two consecutive levels
-                         agree and the product/determinant identity holds.
+                         agree and ``accept_level`` accepts the level.
 
 ``det_lu``, ``trace`` and ``frobenius_norm`` compute in floating point with
 ``prec + 32 + 2*ceil(log2(m))`` guard bits and round results to the
@@ -474,6 +476,36 @@ def _identity_state(eigs, det, fnorm, prec):
         return ok, zeros, floor
 
 
+def accept_level(A: RealMatrix, eigenvalues, prec: int,
+                 allow_zeros: bool = True):
+    """The acceptance rule of one precision level of ``A``'s eigenvalues.
+
+    Computes ``det_lu`` at ``prec`` and the zero floor of that level.  The
+    level is accepted when the product/determinant identity holds and,
+    unless ``allow_zeros``, no eigenvalue is a zero-at-precision.  Returns
+    (det, zero floor, reason), with reason None on acceptance and naming
+    the failure otherwise.  With ``allow_zeros`` false, an exactly 0
+    determinant of an exactly singular matrix raises ``IdentityError``,
+    since no precision resolves its zero eigenvalue.  ``adaptive_solve``
+    judges each agreeing level by this rule, and a stored record is judged
+    by it again when it is loaded.
+    """
+    det = det_lu(A, prec)
+    ok, zeros, floor = _identity_state(eigenvalues, det,
+                                       frobenius_norm(A, 64), prec)
+    if ok and (allow_zeros or not zeros):
+        return det, floor, None
+    if zeros and not allow_zeros:
+        if det == 0 and _exactly_singular(A):
+            raise IdentityError(
+                "the matrix is exactly singular, so a zero eigenvalue "
+                "cannot be resolved at any precision")
+        return det, floor, ("%d eigenvalue(s) not resolvable above the "
+                            "roundoff floor at %d bits" % (zeros, prec))
+    return det, floor, ("eigenvalue product disagrees with the determinant "
+                        "at %d bits" % prec)
+
+
 def adaptive_solve(A: RealMatrix, target_digits: int,
                    prec_cap: int = DEFAULT_PREC_CAP,
                    allow_zeros: bool = True) -> EigenResult:
@@ -482,14 +514,11 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
     A level agrees when it matches the previous one on every eigenvalue to
     ``target_digits`` relative digits (absolute for values below
     10^-target_digits); exactly diagonal input agrees at the first level,
-    since its diagonal is the exact answer.  An agreeing level is accepted
-    once ``det_lu`` at that precision satisfies the product/determinant
-    identity and, unless ``allow_zeros``, no eigenvalue is a
-    zero-at-precision; otherwise the ladder goes on from that level.  With
-    ``allow_zeros`` false, an exactly 0 determinant of an exactly singular
-    matrix raises ``IdentityError`` at once, since no precision resolves
-    its zero eigenvalue.  At the cap, ``IdentityError`` names the last
-    failed acceptance if any level agreed, else ``PrecisionCapError``
+    since its diagonal is the exact answer.  An agreeing level is judged by
+    ``accept_level``; a rejected one continues the ladder from that level,
+    and an exactly singular matrix with ``allow_zeros`` false raises
+    ``IdentityError`` at once.  At the cap, ``IdentityError`` names the
+    last failed acceptance if any level agreed, else ``PrecisionCapError``
     carries the last two levels.
     """
     if not A.symmetric:
@@ -497,7 +526,6 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
     if target_digits < 10:
         raise ValueError("target_digits must be >= 10")
     n = A.dim
-    fnorm = frobenius_norm(A, 64)
     prev = older = None
     reason = None
     prec = DEFAULT_START_PREC
@@ -510,20 +538,10 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
             agreed = prev is not None and _agree(prev, cur, target_digits,
                                                  guard_prec(prec, n))
         if agreed:
-            det = det_lu(A, prec)
-            ok, zeros, floor = _identity_state(cur.eigenvalues, det, fnorm, prec)
-            if ok and (allow_zeros or not zeros):
+            det, floor, reason = accept_level(A, cur.eigenvalues, prec,
+                                              allow_zeros)
+            if reason is None:
                 return replace(cur, det=det, zero_floor=floor)
-            if zeros and not allow_zeros:
-                if det == 0 and _exactly_singular(A):
-                    raise IdentityError(
-                        "the matrix is exactly singular, so a zero eigenvalue "
-                        "cannot be resolved at any precision")
-                reason = ("%d eigenvalue(s) not resolvable above the roundoff "
-                          "floor at %d bits" % (zeros, prec))
-            else:
-                reason = ("eigenvalue product disagrees with the determinant "
-                          "at %d bits" % prec)
         older, prev = prev, cur
         prec *= 2
     if reason:

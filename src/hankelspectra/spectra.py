@@ -17,6 +17,12 @@ those spectra are expected to be nonzero and silently dropping points would
 distort every downstream distribution; an exactly singular analytic matrix
 fails at once, since no precision can resolve its zero eigenvalue.
 
+With a cache directory, ``sweep`` stores each record it computes under
+``<cache_dir>/records``, keyed by everything the record depends on down to
+the bits of the coefficients its matrix reads, and judges each stored
+record again by ``mpnum.accept_level`` when it loads it, so commands that
+share (l, m) pairs compute each one once.
+
 Logarithmic spectra collect ln|mu| of the resolved nonzero eigenvalues
 (zeros are counted, not fatal), and are split into a lower ("electrons")
 and an upper ("trains") part by a configurable policy; the formal split
@@ -28,22 +34,32 @@ spectrum is drawn at (x, m).
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp
 
-from .coeffs import CoeffStream
+from .coeffs import CacheCorruptionError, CoeffStream, _atomic_write, theta
 from .hankel import signed_hankel
 from .mpnum import (
     DEFAULT_PREC_CAP,
+    DEFAULT_START_PREC,
     ConvergenceError,
     IdentityError,
     PrecisionCapError,
+    accept_level,
     adaptive_solve,
+    make_mpf,
     to_decimal,
 )
+
+RECORD_FORMAT = 1   # part of every record key: another format never matches
 
 
 @dataclass(frozen=True)
@@ -95,12 +111,17 @@ class SweepResult:
     failures: dict
 
 
+def _allow_zeros(stream: CoeffStream) -> bool:
+    # builtin families have rank-deficient matrices; analytic spectra do not
+    return stream.spec.kind != "analytic"
+
+
 def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
                      prec_cap: int = DEFAULT_PREC_CAP) -> SpectrumRecord:
     """Eigenvalues of the (l, m) signed Hankel matrix, identity-validated."""
     sh = signed_hankel(stream, l, m)
     res = adaptive_solve(sh.matrix, target_digits, prec_cap=prec_cap,
-                         allow_zeros=stream.spec.kind != "analytic")
+                         allow_zeros=_allow_zeros(stream))
     return SpectrumRecord(
         l=l, m=m, function_id=stream.spec.name, eigenvalues=res.eigenvalues,
         precision_used=res.precision_used, target_digits=target_digits,
@@ -229,12 +250,18 @@ def _sweep_worker(args):
 
 
 def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
-          jobs: int = 1, prec_cap: int = DEFAULT_PREC_CAP) -> SweepResult:
+          jobs: int = 1, prec_cap: int = DEFAULT_PREC_CAP,
+          cache_dir: str | None = None) -> SweepResult:
     """Spectrum records for every m in m_range; failures recorded per m.
 
     Each (l, m) computation is pure and independent, so the work pool
     parallelises over m without affecting results; output ordering is by m
-    regardless of job count.  A pool is started only for more than one m.
+    regardless of job count.  A pool is started only for more than one m
+    to compute.  With ``cache_dir`` set, records stored under
+    ``<cache_dir>/records`` are loaded first, each one judged again by
+    ``accept_level``; only the rest are computed, and each new record is
+    stored.  A stored record that fails the rule is computed again and
+    overwritten; one that cannot be read raises ``CacheCorruptionError``.
     """
     ms = sorted(set(int(m) for m in m_range))
     if not ms:
@@ -245,19 +272,106 @@ def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
             "stream ends at index %d but the sweep needs index %d"
             % (stream.max_index, top)
         )
-    tasks = [(stream, l, m, target_digits, prec_cap) for m in ms]
-    results = {}
-    if jobs > 1 and len(ms) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for m, rec, err in pool.map(_sweep_worker, tasks):
-                results[m] = (rec, err)
-    else:
-        for task in tasks:
-            m, rec, err = _sweep_worker(task)
+    results, paths = {}, {}
+    if cache_dir:
+        for m in ms:
+            paths[m] = _record_path(stream, l, m, target_digits, prec_cap,
+                                    cache_dir)
+            rec = _load_record(stream, l, m, target_digits, prec_cap, paths[m])
+            if rec is not None:
+                results[m] = (rec, None)
+    tasks = [(stream, l, m, target_digits, prec_cap)
+             for m in ms if m not in results]
+    use_pool = jobs > 1 and len(tasks) > 1
+    with (ProcessPoolExecutor(max_workers=jobs) if use_pool
+          else nullcontext()) as pool:
+        run = pool.map if use_pool else map
+        for m, rec, err in run(_sweep_worker, tasks):
             results[m] = (rec, err)
+            if rec is not None and cache_dir:
+                _store_record(rec, paths[m])
     records = tuple(results[m][0] for m in ms if results[m][0] is not None)
     failures = {m: results[m][1] for m in ms if results[m][1] is not None}
     return SweepResult(records=records, failures=failures)
+
+
+# ---------------------------------------------------------------------------
+# record store: <cache_dir>/records/<sha256 of the key>.json
+
+
+def _raw_json(raw):
+    sign, man, exp, bc = raw
+    return [sign, format(int(man), "x"), exp, bc]
+
+
+def _raw_mpf(item):
+    """The mpf of a stored (sign, hex mantissa, exp, bc) list; ValueError
+    unless it is a normalised finite binary value."""
+    sign, hexman, exp, bc = item
+    man = int(hexman, 16)
+    raw = from_man_exp(-man if sign else man, exp)
+    if raw != (sign, man, exp, bc):
+        raise ValueError("%r is not a normalised binary value" % (item,))
+    return make_mpf(raw)
+
+
+def _record_path(stream, l, m, target_digits, prec_cap, cache_dir):
+    """Where the (l, m) record of ``stream`` is stored.
+
+    The key hashes everything the record depends on, down to the exact
+    binary value of each coefficient the matrix reads, so a stream that
+    differs in any bit misses instead of reading a stale record.
+    """
+    coeffs = [_raw_json(theta(stream, k)._mpf_) for k in range(l - m + 1, l + m)]
+    key = json.dumps([RECORD_FORMAT, stream.spec.spec_hash(),
+                      stream.precision_bits, l, m, target_digits, prec_cap,
+                      coeffs])
+    return os.path.join(cache_dir, "records",
+                        hashlib.sha256(key.encode()).hexdigest() + ".json")
+
+
+def _store_record(rec: SpectrumRecord, path: str):
+    doc = {"precision_used": rec.precision_used,
+           "eigenvalues": [_raw_json(mu._mpf_) for mu in rec.eigenvalues]}
+    _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
+
+
+def _load_record(stream, l, m, target_digits, prec_cap, path):
+    """The record stored at ``path``, or None if there is none or it fails
+    ``accept_level`` at its precision.
+
+    The determinant, zero floor and sign are computed again, never read.
+    A file this program cannot have written (malformed JSON, an eigenvalue
+    that is not a normalised binary value, a wrong count or order, a
+    precision off the ladder) raises ``CacheCorruptionError``.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        prec = doc["precision_used"]
+        eigs = tuple(_raw_mpf(item) for item in doc["eigenvalues"])
+        levels = [DEFAULT_START_PREC << k for k in range(prec_cap.bit_length())]
+        if type(prec) is not int or prec > prec_cap or prec not in levels:
+            raise ValueError("precision %r is not a level of the ladder"
+                             % (prec,))
+        if len(eigs) != m or any(b < a for a, b in zip(eigs, eigs[1:])):
+            raise ValueError("expected %d eigenvalues in ascending order" % m)
+    except (ValueError, KeyError, TypeError) as exc:
+        # malformed JSON is a ValueError; JSON of the wrong shape gives a
+        # KeyError, or a TypeError or ValueError from indexing or unpacking
+        raise CacheCorruptionError("unreadable record %s: %s" % (path, exc))
+    sh = signed_hankel(stream, l, m)
+    det, floor, reason = accept_level(sh.matrix, eigs, prec,
+                                      _allow_zeros(stream))
+    if reason is not None:
+        return None
+    return SpectrumRecord(
+        l=l, m=m, function_id=stream.spec.name, eigenvalues=eigs,
+        precision_used=prec, target_digits=target_digits, det=det,
+        zero_threshold=floor, sign=sh.sign,
+    )
 
 
 def spectra_csv(records, fh):

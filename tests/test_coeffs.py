@@ -19,6 +19,7 @@ from hankelspectra import coeffs
 from hankelspectra.coeffs import (
     CacheCorruptionError,
     CoeffIndexError,
+    ComplexStreamError,
     StreamValidationError,
     UnknownGeneratorError,
     ZetaPoleError,
@@ -256,6 +257,70 @@ class TestCache:
         again = generate(spec, 4, 128, cache_dir=cd)
         assert "[cache]" in again.provenance
         assert list(again.values) == [1] * 5
+
+
+class TestStreamBlocks:
+    """Analytic streams are evaluated to a whole block of 8 coefficients."""
+
+    @staticmethod
+    def _counting(monkeypatch, fail=None):
+        jet_values = coeffs._jet_values
+        calls = []
+
+        def counting(spec, N, prec):
+            calls.append(N)
+            if fail is not None and len(calls) == 1:
+                raise fail
+            return jet_values(spec, N, prec)
+
+        monkeypatch.setattr(coeffs, "_jet_values", counting)
+        return calls
+
+    def test_n32_then_n33_share_one_evaluation(self, tmp_path, monkeypatch):
+        spec = analytic_spec("zeta-star")
+        exact = coeffs._jet_values(spec, 33, 256)
+        calls = self._counting(monkeypatch)
+        cd = str(tmp_path)
+        a = generate(spec, 32, 256, cache_dir=cd)
+        b = generate(spec, 33, 256, cache_dir=cd)
+        assert calls == [39]
+        assert (a.max_index, b.max_index) == (32, 33)
+        assert "[cache]" in b.provenance
+        assert [x._mpf_ for x in b.values] == [x._mpf_ for x in exact]
+        assert [x._mpf_ for x in a.values] == [x._mpf_ for x in exact[:33]]
+        vpath, _ = coeffs._cache_paths(spec, 256, cd)
+        assert len(open(vpath).read().splitlines()) == 40
+
+    def test_builtin_streams_exact_length(self, tmp_path):
+        cd = str(tmp_path)
+        generate(builtin_spec("exponential"), 9, 128, cache_dir=cd)
+        vpath, _ = coeffs._cache_paths(builtin_spec("exponential"), 128, cd)
+        assert len(open(vpath).read().splitlines()) == 10
+        assert generate(builtin_spec("user-moments", "1", "2"), 1, 128).values \
+            == (1, 2)
+
+    @pytest.mark.parametrize("fail", [
+        StreamValidationError("planted", first_failure=12),
+        ComplexStreamError("planted", first_failure=15),
+        StreamValidationError("planted cutoff failure"),
+    ], ids=["disagreement", "complex", "no-index"])
+    def test_failure_above_n_falls_back_to_exact_n(self, fail, tmp_path,
+                                                   monkeypatch):
+        spec = analytic_spec("one-over-one-minus-z")
+        calls = self._counting(monkeypatch, fail)
+        st = generate(spec, 9, 128, cache_dir=str(tmp_path))
+        assert calls == [15, 9]
+        assert st.max_index == 9 and list(st.values) == [1] * 10
+        again = generate(spec, 9, 128, cache_dir=str(tmp_path))
+        assert calls == [15, 9] and "[cache]" in again.provenance
+
+    def test_failure_at_or_below_n_raised(self, monkeypatch):
+        spec = analytic_spec("one-over-one-minus-z")
+        calls = self._counting(
+            monkeypatch, StreamValidationError("planted", first_failure=9))
+        with pytest.raises(StreamValidationError, match="planted"):
+            generate(spec, 9, 128)
+        assert calls == [15]
 
 
 def _series_spec(expr, s0=("0", "0"), ring="1", analyticity="inf"):

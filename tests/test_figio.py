@@ -18,7 +18,8 @@ from hankelspectra import (
     step_distribution,
     sweep,
 )
-from hankelspectra import figio
+from hankelspectra import figio, mpnum
+from hankelspectra import spectra as spectra_mod
 from hankelspectra.figio import (
     build_manifest,
     cli,
@@ -369,3 +370,57 @@ class TestCli:
         assert rc in (0, 1)
         doc = json.loads(capsys.readouterr().out)
         assert doc["check"] == cid and doc["l"] == 1
+
+
+class TestRecordStoreCli:
+    """``--cache-dir`` also stores spectrum records under ``records/``."""
+
+    @staticmethod
+    def _no_solve(monkeypatch):
+        def no_solve(*args, **kwargs):
+            pytest.fail("an eigenvalue solve ran")
+
+        monkeypatch.setattr(mpnum, "sym_eigenvalues", no_solve)
+
+    def test_second_check_loads_every_record(self, tmp_path, monkeypatch):
+        argv = ["check", "2A", "--func", "exponential", "--l", "1",
+                "--m-max", "16", "--digits", "25",
+                "--cache-dir", str(tmp_path / "cache")]
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert cli(argv + ["--out", a]) in (0, 1)
+        assert len(os.listdir(str(tmp_path / "cache" / "records"))) == 4
+        self._no_solve(monkeypatch)
+        assert cli(argv + ["--out", b]) in (0, 1)
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_sweep_jobs_2_stores_then_reloads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HANKELSPECTRA_CACHE", str(tmp_path / "cache"))
+        argv = ["sweep", "--func", "exponential", "--l", "1", "--m-max", "5",
+                "--digits", "25", "--jobs", "2"]
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert cli(argv + ["--out", a]) == 0
+        assert len(os.listdir(str(tmp_path / "cache" / "records"))) == 5
+        self._no_solve(monkeypatch)
+        monkeypatch.setattr(spectra_mod, "ProcessPoolExecutor", None)
+        assert cli(argv + ["--out", b]) == 0
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_truncated_record_exits_2(self, tmp_path, capsys):
+        cd = tmp_path / "cache"
+        argv = ["spectrum", "--func", "exponential", "--l", "1", "--m", "3",
+                "--cache-dir", str(cd)]
+        assert cli(argv) == 0
+        (name,) = os.listdir(str(cd / "records"))
+        path = cd / "records" / name
+        path.write_text(path.read_text()[:40])
+        capsys.readouterr()
+        assert cli(argv) == 2
+        assert "error: unreadable record" in capsys.readouterr().err
+
+    def test_no_cache_dir_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("HANKELSPECTRA_CACHE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert cli(["check", "2A", "--func", "exponential", "--l", "1",
+                    "--m-max", "4", "--digits", "25"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["check"] == "2A"
+        assert os.listdir(str(tmp_path)) == []

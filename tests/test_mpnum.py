@@ -21,8 +21,10 @@ from hankelspectra import (
 )
 from hankelspectra.mpnum import (
     ConvergenceError,
+    IdentityError,
     NonSymmetricError,
     PrecisionCapError,
+    accept_level,
     guard_prec,
     make_mpf,
 )
@@ -286,6 +288,53 @@ class TestAdaptiveSolve:
         A = real_matrix([[1]], symmetric=True)
         with pytest.raises(ValueError):
             adaptive_solve(A, 5)
+
+
+def _hilbert8():
+    with workprec(512):
+        rows = [[mpf(1) / (i + j + 1) for j in range(8)] for i in range(8)]
+    return real_matrix(rows, symmetric=True)
+
+
+class TestAcceptLevel:
+    """The one acceptance rule, as a stored record meets it on reload."""
+
+    @pytest.mark.parametrize("case, digits, allow_zeros", [
+        ("hilbert8", 30, False), ("c9_m24", 77, True), ("exp_m20", 30, True),
+        ("geometric_m4", 30, True), ("zeta_m16", 30, False),
+    ])
+    def test_accepts_what_adaptive_solve_accepts(self, case, digits,
+                                                 allow_zeros, exp_stream,
+                                                 geo1_stream,
+                                                 zeta_star_stream):
+        A = {"hilbert8": _hilbert8,
+             "c9_m24": _c9_matrix,
+             "exp_m20": lambda: signed_hankel(exp_stream, 1, 20).matrix,
+             "geometric_m4": lambda: signed_hankel(geo1_stream, 1, 4).matrix,
+             "zeta_m16": lambda: signed_hankel(zeta_star_stream, 1,
+                                               16).matrix}[case]()
+        res = adaptive_solve(A, digits, allow_zeros=allow_zeros)
+        det, floor, reason = accept_level(A, res.eigenvalues,
+                                          res.precision_used, allow_zeros)
+        assert reason is None
+        assert det._mpf_ == res.det._mpf_
+        assert floor._mpf_ == res.zero_floor._mpf_
+
+    def test_rejections_named(self, geo1_stream):
+        A = _hilbert8()
+        res = adaptive_solve(A, 30)
+        prec = res.precision_used
+        doubled = res.eigenvalues[:-1] + (2 * res.eigenvalues[-1],)
+        _, _, reason = accept_level(A, doubled, prec)
+        assert reason == ("eigenvalue product disagrees with the determinant "
+                          "at %d bits" % prec)
+        # a rank-one matrix: its zeros are accepted only where allowed
+        A = signed_hankel(geo1_stream, 1, 3).matrix
+        res = adaptive_solve(A, 30)
+        assert accept_level(A, res.eigenvalues, res.precision_used)[2] is None
+        with pytest.raises(IdentityError, match="exactly singular"):
+            accept_level(A, res.eigenvalues, res.precision_used,
+                         allow_zeros=False)
 
 
 class TestSpectralIdentities:

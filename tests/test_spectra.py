@@ -1,4 +1,7 @@
 import io
+import json
+import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from hankelspectra import (
 from hankelspectra import analytic_spec, signed_hankel
 from hankelspectra import mpnum
 from hankelspectra import spectra as spectra_mod
+from hankelspectra.coeffs import CacheCorruptionError
 from hankelspectra.mpnum import ConvergenceError, IdentityError
 
 from conftest import bisect_roots, char_poly
@@ -330,6 +334,121 @@ class TestIdentityLadder:
                                  "precision cap 1024 reached"):
             compute_spectrum(exp_stream, 1, 3, 30, prec_cap=1024)
         assert bits == [256, 512, 1024]
+
+
+def _record_files(cache_dir):
+    d = os.path.join(cache_dir, "records")
+    return [os.path.join(d, f) for f in sorted(os.listdir(d))]
+
+
+def _csv(records):
+    buf = io.StringIO()
+    spectra_csv(records, buf)
+    return buf.getvalue()
+
+
+class TestRecordStore:
+    """Records stored under <cache_dir>/records and judged again on load."""
+
+    @staticmethod
+    def _solves(monkeypatch):
+        solve = spectra_mod.adaptive_solve
+        calls = []
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.dim)
+            return solve(A, *args, **kwargs)
+
+        monkeypatch.setattr(spectra_mod, "adaptive_solve", counting)
+        return calls
+
+    def test_reload_skips_solve_and_keys_every_input(self, exp_stream,
+                                                     tmp_path, monkeypatch):
+        cd = str(tmp_path)
+        first = sweep(exp_stream, 1, range(1, 5), 30, cache_dir=cd)
+        assert len(_record_files(cd)) == 4
+        calls = self._solves(monkeypatch)
+        again = sweep(exp_stream, 1, range(2, 6), 30, cache_dir=cd)
+        assert calls == [5]
+        assert _csv(again.records[:3]) == _csv(first.records[1:])
+        # another l, digit target, cap or bit of a coefficient that the
+        # matrix reads (l=1, m=2 reads indices 0..2) is another record
+        def tweak(k):
+            vals = list(exp_stream.values)
+            with workprec(256):
+                vals[k] *= 1 + mpf(2) ** -250
+            return replace(exp_stream, values=tuple(vals))
+
+        sweep(exp_stream, 2, [2], 30, cache_dir=cd)
+        sweep(exp_stream, 1, [2], 31, cache_dir=cd)
+        sweep(exp_stream, 1, [2], 30, prec_cap=4096, cache_dir=cd)
+        sweep(tweak(2), 1, [2], 30, cache_dir=cd)
+        sweep(tweak(3), 1, [2], 30, cache_dir=cd)
+        assert calls == [5, 2, 2, 2, 2]
+        assert len(_record_files(cd)) == 9
+
+    def test_altered_eigenvalue_recomputed(self, exp_stream, tmp_path,
+                                           monkeypatch):
+        cd = str(tmp_path)
+        first = sweep(exp_stream, 1, [4], 30, cache_dir=cd)
+        (path,) = _record_files(cd)
+        stored = open(path).read()
+        doc = json.loads(stored)
+        top = doc["eigenvalues"][-1]
+        assert top[0] == 0          # positive: doubling keeps the order
+        top[2] += 1
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        calls = self._solves(monkeypatch)
+        again = sweep(exp_stream, 1, [4], 30, cache_dir=cd)
+        assert calls == [4]
+        assert _csv(again.records) == _csv(first.records)
+        assert open(path).read() == stored
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_reload_zero_at_precision(self, analytic, exp_stream,
+                                      zeta_star_stream, tmp_path,
+                                      monkeypatch):
+        # the reload meets the rule of the ladder: a zero-at-precision
+        # rejects an analytic record, which is computed again
+        stream = zeta_star_stream if analytic else exp_stream
+        cd = str(tmp_path)
+        first = sweep(stream, 1, [3], 30, cache_dir=cd)
+        state = mpnum._identity_state
+        checks = []
+
+        def one_zero_once(eigs, det, fnorm, prec):
+            ok, zeros, floor = state(eigs, det, fnorm, prec)
+            checks.append(prec)
+            return (ok, 1, floor) if len(checks) == 1 else (ok, zeros, floor)
+
+        monkeypatch.setattr(mpnum, "_identity_state", one_zero_once)
+        calls = self._solves(monkeypatch)
+        again = sweep(stream, 1, [3], 30, cache_dir=cd)
+        assert calls == ([3] if analytic else [])
+        assert _csv(again.records) == _csv(first.records)
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps({"precision_used": 512}),
+        lambda text: json.dumps({"precision_used": 500,
+                                 "eigenvalues": json.loads(text)["eigenvalues"]}),
+        lambda text: json.dumps(dict(json.loads(text), eigenvalues=[])),
+        lambda text: json.dumps(dict(json.loads(text), eigenvalues=[
+            [0, "2", 0, 2]] + json.loads(text)["eigenvalues"][1:])),
+        lambda text: json.dumps(dict(json.loads(text), eigenvalues=
+                                     json.loads(text)["eigenvalues"][::-1])),
+    ], ids=["truncated", "no-eigenvalues", "off-ladder", "count",
+            "not-normalised", "order"])
+    def test_unreadable_record_raises(self, damage, exp_stream, tmp_path):
+        cd = str(tmp_path)
+        sweep(exp_stream, 1, [3], 30, cache_dir=cd)
+        (path,) = _record_files(cd)
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(damage(text))
+        with pytest.raises(CacheCorruptionError, match="unreadable record"):
+            sweep(exp_stream, 1, [3], 30, cache_dir=cd)
 
 
 class TestPlaceholderRegression:
