@@ -6,11 +6,15 @@
 Files with equal bytes pass.  Otherwise both texts are cut into numbers and
 the text between them; every number is read exactly as a Fraction.  Any
 difference in the text between numbers fails, and so does a changed line
-count or a file present in one tree only.  The sha256 values of manifests
-are left out of that comparison; instead each manifest must match the
-files it lists in its own tree.  For each differing file the script prints
-how many numbers differ and their largest relative gap, and it exits 1 if
-any gap exceeds 1e-30, the smallest --digits that fixed_outputs.sh uses.
+count or a file present in one tree only.  A stored spectrum record
+(``records/*.json`` in a cache dir) holds each eigenvalue as a
+[sign, hex mantissa, exponent, bit count] list; it is decoded to exact
+Fractions instead, and a changed precision_used, eigenvalue count or other
+field fails.  The sha256 values of manifests are left out of that
+comparison; instead each manifest must match the files it lists in its own
+tree.  For each differing file the script prints how many numbers differ
+and their largest relative gap, and it exits 1 if any gap exceeds 1e-30,
+the smallest --digits that fixed_outputs.sh uses.
 """
 
 import hashlib
@@ -60,6 +64,31 @@ def compare(a, b):
     return None, len(gaps), max(gaps, default=Fraction(0))
 
 
+def record_values(doc):
+    """The eigenvalues of a stored record as exact Fractions."""
+    out = []
+    for sign, hexman, exp, _ in doc["eigenvalues"]:
+        v = Fraction(int(hexman, 16)) * Fraction(2) ** exp
+        out.append(-v if sign else v)
+    return out
+
+
+def compare_records(a, b):
+    """``compare`` for two stored spectrum records."""
+    da, db = json.loads(a), json.loads(b)
+    va, vb = record_values(da), record_values(db)
+    if da["precision_used"] != db["precision_used"]:
+        return ("precision_used %d -> %d"
+                % (da["precision_used"], db["precision_used"]), 0, 0)
+    if len(va) != len(vb):
+        return "eigenvalue count %d -> %d" % (len(va), len(vb)), 0, 0
+    del da["eigenvalues"], db["eigenvalues"]
+    if da != db:
+        return "fields other than the eigenvalues differ", 0, 0
+    gaps = [gap(x, y) for x, y in zip(va, vb) if x != y]
+    return None, len(gaps), max(gaps, default=Fraction(0))
+
+
 def show(g):
     with localcontext() as ctx:
         ctx.prec = 3
@@ -86,7 +115,9 @@ def main(before, after):
         if a == b:
             same += 1
             continue
-        problem, count, worst = compare(a, b)
+        is_record = os.path.basename(os.path.dirname(name)) == "records"
+        problem, count, worst = (compare_records if is_record
+                                 else compare)(a, b)
         if problem or worst > MAX_GAP:
             failed = True
         print("%s: %s" % (name, problem or "%d numeric differences, largest "

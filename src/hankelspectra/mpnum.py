@@ -7,7 +7,7 @@ explicit working precision, which keeps the routines independent of the
 global mpmath context and safe to call concurrently from worker processes.
 
 * ``det_lu``          -- determinant via LU with partial pivoting,
-* ``sym_eigenvalues`` -- Householder tridiagonalisation plus implicit QL
+* ``sym_eigenvalues`` -- Householder tridiagonalisation plus root-free QL
                          for real symmetric matrices,
 * ``accept_level``    -- the one acceptance rule: the product/determinant
                          identity and the zero-at-precision policy,
@@ -15,20 +15,25 @@ global mpmath context and safe to call concurrently from worker processes.
                          doubling precisions until two consecutive levels
                          agree and ``accept_level`` accepts the level.
 
-``det_lu``, ``trace`` and ``frobenius_norm`` compute in floating point with
+``trace`` and ``frobenius_norm`` compute in floating point with
 ``prec + 32 + 2*ceil(log2(m))`` guard bits and round results to the
-requested precision.  The eigensolver runs in fixed point instead: one
-power of two scales the matrix to norm at most 1, every entry becomes an
-integer with those guard bits plus 16 more as fraction bits, and each
-update of the Householder reduction and of the QL chase is integer
-arithmetic floored back to that fixed point (Parlett, The Symmetric
-Eigenvalue Problem, ch. 7-8; Golub & Van Loan, Matrix Computations,
-sec. 8.3).  Its rounding error is therefore absolute, about
-2^-(prec+48) * ||A||_F, below the zero floor ||A||_F * 2^-(prec-16) under
-which an eigenvalue counts as zero; relative digits of small eigenvalues
-come from the ladder's higher levels, not from the kernel.  A computed
-eigenvalue within 2^-(prec+32) * 2^E of 0, inside that rounding, is
-reported as exact 0.
+requested precision.  ``det_lu`` and the eigensolver share one fixed-point
+form instead (``_scaled_rows``): one power of two scales the matrix to norm
+at most 1, and every entry becomes an integer with those guard bits plus
+16 more as fraction bits.  LU with partial pivoting, the Householder
+reduction and the root-free QL chase are integer arithmetic floored back
+to that fixed point (Parlett, The Symmetric Eigenvalue Problem, ch. 7-8;
+Golub & Van Loan, Matrix Computations, sec. 3.4 and 8.3).  The
+eigensolver's rounding error is therefore absolute, about
+2^-(prec+48) * ||A||_F, and ``adaptive_solve`` deflates an off-diagonal
+entry only below 2^-(prec+40) * ||A||_F, so every eigenvalue of a level is
+within about n * 2^-(prec+40) * ||A||_F of the rounded matrix's, far below
+the zero floor ||A||_F * 2^-(prec-16) under which an eigenvalue counts as
+zero.  Relative digits of small eigenvalues come from the ladder's higher
+levels, not from the kernel.  A computed eigenvalue within
+2^-(prec+32) * 2^E of 0, inside that rounding, is reported as exact 0, and
+a pivot column that is zero at the fixed point gives a determinant of
+exact 0: zero at working precision, not a proof of singularity.
 """
 
 from __future__ import annotations
@@ -45,10 +50,8 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
-    mpf_div,
     mpf_gt,
     mpf_mul,
-    mpf_neg,
     mpf_pos,
     mpf_shift,
     mpf_sqrt,
@@ -132,9 +135,6 @@ class RealMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> mpf:
-        return self.entries[i][j]
-
     def raw_rows(self):
         return [[x._mpf_ for x in row] for row in self.entries]
 
@@ -184,44 +184,47 @@ def _within_rel(x: mpf, y: mpf, exp: int) -> bool:
 
 
 def det_lu(A: RealMatrix, prec: int) -> mpf:
-    """Determinant via LU with partial pivoting at guarded precision.
+    """Determinant via LU with partial pivoting in fixed point.
 
-    Returns the product of pivots times the permutation sign.  An exactly
-    zero pivot column short-circuits to an exact 0 determinant.
+    Runs on the scaled integer rows of ``_scaled_rows``: each multiplier is
+    f = (a_rc << F) // pivot and each row update a -= f*w >> F.  The
+    |pivots| go into a running product cut back to 2F bits, the cut bits
+    into an exponent; the product times the permutation sign is rounded to
+    ``prec`` once.  A pivot column that is zero at scale F returns exact
+    0, which here means zero at working precision; only
+    ``_exactly_singular`` decides whether the matrix is exactly singular.
     """
     n = A.dim
     if n < 1:
         raise ValueError("determinant of an empty matrix")
     if prec < 64:
         raise ValueError("prec must be >= 64")
-    wp = guard_prec(prec, n)
-    a = A.raw_rows()
-    sign = 1
-    det = fone
+    E, F, a = _scaled_rows(A, prec)
+    negative = False
+    man, exp = 1, n * (E - F)
     for col in range(n):
-        piv, pabs = col, mpf_abs(a[col][col])
-        for r in range(col + 1, n):
-            v = mpf_abs(a[r][col])
-            if mpf_gt(v, pabs):
-                piv, pabs = r, v
-        if pabs == fzero:
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        pivot = a[piv][col]
+        if not pivot:
             return make_mpf(fzero)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        det = mpf_mul(det, pivot, wp, _RND)
+            negative = not negative
+        if pivot < 0:
+            negative = not negative
+        man *= abs(pivot)
+        cut = man.bit_length() - 2 * F
+        if cut > 0:
+            man >>= cut
+            exp += cut
+        crow = a[col][col + 1:]
         for r in range(col + 1, n):
-            if a[r][col] == fzero:
-                continue
-            f = mpf_div(a[r][col], pivot, wp, _RND)
-            arow, crow = a[r], a[col]
-            for c in range(col + 1, n):
-                arow[c] = mpf_sub(arow[c], mpf_mul(f, crow[c], wp, _RND), wp, _RND)
-            arow[col] = fzero
-    if sign < 0:
-        det = mpf_neg(det)
-    return make_mpf(mpf_pos(det, prec, _RND))
+            arow = a[r]
+            if arow[col]:
+                f = (arow[col] << F) // pivot
+                arow[col + 1:] = [v - (f * w >> F)
+                                  for v, w in zip(arow[col + 1:], crow)]
+    return make_mpf(from_man_exp(-man if negative else man, exp, prec, _RND))
 
 
 def _to_fixed(raw, shift):
@@ -230,6 +233,24 @@ def _to_fixed(raw, shift):
     k = exp + shift
     v = man << k if k >= 0 else (man + (1 << (-k - 1))) >> -k
     return -v if sign else v
+
+
+def _scaled_rows(A: RealMatrix, prec: int, upper: bool = False):
+    """The kernels' fixed-point form of ``A``: (E, F, integer rows).
+
+    One power of two 2^E >= n * max|a_ij| >= ||A||_F scales the matrix,
+    and each entry becomes the nearest integer of a_ij * 2^(F-E) with
+    F = guard_prec(prec, n) + 16 fraction bits.  With ``upper`` only the
+    upper triangle is kept: row i holds entries (i, i..n-1).
+    """
+    rows = A.raw_rows()
+    n = len(rows)
+    top = max((r[2] + r[3] for row in rows for r in row if r[1]), default=0)
+    F = guard_prec(prec, n) + 16
+    E = top + (n - 1).bit_length()
+    shift = F - E
+    return E, F, [[_to_fixed(r, shift) for r in (row[i:] if upper else row)]
+                  for i, row in enumerate(rows)]
 
 
 def _exactly_singular(A: RealMatrix) -> bool:
@@ -335,57 +356,56 @@ def _tridiagonalize(a, F):
     return d, e
 
 
-def _ql_step(d, e, l, m, F):
-    """One implicit QL iteration with a Wilkinson shift on rows l..m.
+def _ql_step(d, e2, l, m, F):
+    """One root-free implicit QL iteration on rows l..m (Pal-Walker-Kahan).
 
-    The Givens chase runs from m-1 up to l.  Its numerator f = s * e_i and
-    the shifted g are kept at scale 2F, so the rotation stays accurate when
-    e_l is a few units; a rounded f stalls the convergence there.
+    ``d`` is at scale F and ``e2`` holds the squared off-diagonal at scale
+    2F.  The Wilkinson shift takes the one square root of the iteration;
+    the chase carries c = cos^2 and s = sin^2 of each rotation at scale F
+    and needs none (Parlett, The Symmetric Eigenvalue Problem, sec. 8.15;
+    LAPACK dsterf).
     """
-    el, dl = e[l], d[l]
+    dl, el2 = d[l], e2[l]
     delta = d[l + 1] - dl
-    root = math.isqrt(delta * delta + 4 * el * el)
+    root = math.isqrt(delta * delta + 4 * el2)
     if delta < 0:
         root = -root
-    g = d[m] - dl + (2 * el * el) // (delta + root)
-    s = c = 1 << F
-    p = 0
+    sigma = dl - (2 * el2) // (delta + root)
+    one = 1 << F
+    c, s = one, 0
+    gamma = d[m] - sigma
+    p = gamma * gamma
     for i in range(m - 1, l - 1, -1):
-        ei = e[i]
-        f, b = s * ei, c * ei
-        G = g << F
-        r = math.isqrt(f * f + G * G)
+        bb = e2[i]
+        r = p + bb
         if i + 1 < m:
-            e[i + 1] = r >> F
-        if not r:
-            d[i + 1] -= p
-            return
-        s, c = (f << F) // r, (G << F) // r
-        g = d[i + 1] - p
-        r = (((d[i] - g) * s << F) + 2 * c * b) >> 2 * F
-        p = s * r >> F
-        d[i + 1] = g + p
-        g = (c * r - b) >> F
-    d[l] -= p
-    e[l] = g
+            e2[i + 1] = s * r >> F
+        oldc, oldgam = c, gamma
+        c = (p << F) // r
+        s = one - c
+        gamma = (c * (d[i] - sigma) - s * oldgam) >> F
+        d[i + 1] = oldgam + d[i] - gamma
+        p = (gamma * gamma << F) // c if c else oldc * bb >> F
+    e2[l] = s * p >> F
+    d[l] = sigma + gamma
 
 
 def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
                     max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenResult:
-    """Eigenvalues of a symmetric matrix by Householder and implicit QL.
+    """Eigenvalues of a symmetric matrix by Householder and root-free QL.
 
-    The entries are scaled by one power of two 2^-E with 2^E >= ||A||_F and
-    rounded to integers with F = guard_prec(prec, n) + 16 fractional bits.
-    Householder reflections reduce the matrix to tridiagonal form in one
-    pass; implicit QL with a Wilkinson shift then chases each off-diagonal
-    e_i down until e_i^2 <= tol^2 * ||A||_F^2, compared exactly as integers.
-    ``max_sweeps`` caps the QL iterations per eigenvalue and ``sweeps``
-    counts them all; past the cap, ``ConvergenceError`` carries the
-    off-diagonal Frobenius norm of the current matrix.  Each update is
-    integer arithmetic floored back to scale F, so the rounding error stays
-    near 2^-(prec+48) * ||A||_F, below the zero floor
-    ||A||_F * 2^-(prec-16); a value within 2^-(prec+32) * 2^E of 0, inside
-    the kernel's own rounding, is reported as exact 0.  The diagonal is
+    Works on the fixed-point form of ``_scaled_rows``.  Householder
+    reflections reduce it to tridiagonal form in one pass; root-free
+    implicit QL with a Wilkinson shift then chases each squared
+    off-diagonal down until e_i^2 <= tol^2 * ||A||_F^2, compared exactly as
+    integers.  ``max_sweeps`` caps the QL iterations per eigenvalue and
+    ``sweeps`` counts them all; past the cap, ``ConvergenceError`` carries
+    the off-diagonal Frobenius norm of the current matrix.  Rounding stays
+    near 2^-(prec+48) * ||A||_F, and each deflated e_i moves the
+    eigenvalues by at most |e_i| (Weyl), so ``adaptive_solve``'s
+    tol = 2^-(prec+40) keeps every eigenvalue within about
+    n * 2^-(prec+40) * ||A||_F of the rounded matrix's.  A value within
+    2^-(prec+32) * 2^E of 0 is reported as exact 0.  The diagonal is
     rounded to ``prec`` once and comes back sorted ascending.
     """
     if not A.symmetric:
@@ -393,34 +413,29 @@ def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
     if not tol > 0:
         raise ValueError("tol must be positive")
     n = A.dim
-    rows = A.raw_rows()
-    exact = _diagonal_result(rows, prec)
+    exact = _diagonal_result(A.raw_rows(), prec)
     if exact is not None:
         return exact
-    top = max(r[2] + r[3] for row in rows for r in row if r[1])
-    F = guard_prec(prec, n) + 16
-    E = top + (n - 1).bit_length()     # 2^E >= n * max|a_ij| >= ||A||_F
-    # upper triangle: a[i][j - i] holds entry (i, j) for j >= i
-    a = [[_to_fixed(r, F - E) for r in row[i:]] for i, row in enumerate(rows)]
+    E, F, a = _scaled_rows(A, prec, upper=True)
 
-    # e_i is deflated once e_i^2 <= tol^2 * ||A||_F^2, i.e. |e_i| <= lim
+    # e_i is deflated once e_i^2 <= lim2 = tol^2 * ||A||_F^2 at scale 2F
     _, tman, texp, _ = tol._mpf_ if isinstance(tol, mpf) else mpf(tol)._mpf_
     norm2 = sum(2 * sum(x * x for x in row) - row[0] * row[0] for row in a)
-    lim = math.isqrt((tman * tman * norm2 << max(0, 2 * texp))
-                     >> max(0, -2 * texp))
+    lim2 = (tman * tman * norm2 << max(0, 2 * texp)) >> max(0, -2 * texp)
 
     d, e = _tridiagonalize(a, F)
+    e2 = [x * x for x in e]
 
     def residual():
         # off-diagonal Frobenius norm of the current tridiagonal matrix
-        off2 = 2 * sum(x * x for x in e)
+        off2 = 2 * sum(e2)
         return make_mpf(mpf_sqrt(from_man_exp(off2, 2 * (E - F)), prec, _RND))
 
     sweeps = 0
     for l in range(n):
         its = 0
         while True:
-            m = next((i for i in range(l, n - 1) if abs(e[i]) <= lim), n - 1)
+            m = next((i for i in range(l, n - 1) if e2[i] <= lim2), n - 1)
             if m == l:
                 break
             if its >= max_sweeps:
@@ -430,7 +445,7 @@ def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
                     % (max_sweeps, mp.nstr(resid, 8)), residual=resid)
             its += 1
             sweeps += 1
-            _ql_step(d, e, l, m, F)
+            _ql_step(d, e2, l, m, F)
 
     zero = 1 << (F - prec - 32)        # 2^-(prec+32) * 2^E at scale F
     eigs = sorted(make_mpf(from_man_exp(x, E - F, prec, _RND)
@@ -533,7 +548,7 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
         cur = _diagonal_result(A.raw_rows(), prec) if prev is None else None
         agreed = cur is not None
         if cur is None:
-            tol = make_mpf(mpf_shift(fone, -(prec - 8)))
+            tol = make_mpf(mpf_shift(fone, -(prec + 40)))
             cur = sym_eigenvalues(A, prec, tol)
             agreed = prev is not None and _agree(prev, cur, target_digits,
                                                  guard_prec(prec, n))

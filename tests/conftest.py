@@ -1,13 +1,14 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own LU / eigensolver
-code paths: determinants come from exact-rational cofactor expansion, and
-eigenvalue references come from exact characteristic polynomials
-(Faddeev-LeVerrier over Fractions) whose real roots are isolated by plain
-sign-change bisection at high precision, or from mpmath's own symmetric
-eigensolver (Householder tridiagonalisation plus QL) at more than twice
-the precision under test.  Analytic coefficient references come from
-mpmath's own functions through the Cauchy integral on a ring.
+code paths: determinants come from exact-rational cofactor expansion or
+Gaussian elimination over Fractions, and eigenvalue references come from
+exact characteristic polynomials (Faddeev-LeVerrier over Fractions) whose
+real roots are isolated by plain sign-change bisection at high precision,
+or from mpmath's own symmetric eigensolver (Householder tridiagonalisation
+plus QL) at more than twice the precision under test.  Analytic
+coefficient references come from mpmath's own functions through the Cauchy
+integral on a ring.
 """
 
 import random
@@ -28,6 +29,42 @@ def cofactor_det(rows):
         term = rows[0][j] * cofactor_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def exact_fraction(x):
+    """The exact rational value of an int, a Fraction or a finite mpf."""
+    if isinstance(x, mpf):
+        sign, man, exp, _ = x._mpf_
+        v = Fraction(man) * Fraction(2) ** exp
+        return -v if sign else v
+    return Fraction(x)
+
+
+def gauss_det(rows):
+    """Exact determinant by Gaussian elimination over Fractions.
+
+    Entries may be ints, Fractions or mpfs, each read exactly.  Unlike
+    ``cofactor_det`` (n! terms) it takes O(n^3) exact operations, so it
+    reaches the m = 20..40 matrices of the determinant tests.
+    """
+    a = [[exact_fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        pivot, prow = a[k][k], a[k]
+        det *= pivot
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            if f:
+                a[i][k + 1:] = [x - f * y
+                                for x, y in zip(a[i][k + 1:], prow[k + 1:])]
+    return det
 
 
 def char_poly(rows):

@@ -57,10 +57,10 @@ class TestBuild:
         # 1-based entry(1,1) = sign*c4, entry(3,3) = sign*c0,
         # entry(1,3) = entry(3,1) = sign*c2
         with workprec(300):
-            assert m.entry(0, 0) == sign * theta(exp_stream, 4)
-            assert m.entry(2, 2) == sign * theta(exp_stream, 0)
-            assert m.entry(0, 2) == sign * theta(exp_stream, 2)
-            assert m.entry(0, 2) == m.entry(2, 0)
+            assert m.entries[0][0] == sign * theta(exp_stream, 4)
+            assert m.entries[2][2] == sign * theta(exp_stream, 0)
+            assert m.entries[0][2] == sign * theta(exp_stream, 2)
+            assert m.entries[0][2] == m.entries[2][0]
 
     def test_symmetry_and_hankel_property(self, exp_stream):
         sh = signed_hankel(exp_stream, 3, 5)
@@ -68,10 +68,10 @@ class TestBuild:
         assert m.symmetric
         for i in range(5):
             for j in range(5):
-                assert m.entry(i, j)._mpf_ == m.entry(j, i)._mpf_
+                assert m.entries[i][j]._mpf_ == m.entries[j][i]._mpf_
                 # entry depends only on i+j
                 if i + j <= 4:
-                    assert m.entry(i, j)._mpf_ == m.entry(0, i + j)._mpf_
+                    assert m.entries[i][j]._mpf_ == m.entries[0][i + j]._mpf_
 
     def test_stream_too_short_names_index(self, exp_stream):
         with pytest.raises(StreamTooShortError, match=str(20 + 10 - 1)):
@@ -87,10 +87,10 @@ class TestRawToeplitz:
     def test_exponential(self, exp_stream):
         t = raw_toeplitz(exp_stream, 1, 2)
         # entry(i,j) = c[1+j-i]: [[c1, c2], [c0, c1]]
-        assert t.entry(0, 0) == theta(exp_stream, 1)
-        assert t.entry(0, 1) == theta(exp_stream, 2)
-        assert t.entry(1, 0) == theta(exp_stream, 0)
-        assert t.entry(1, 1) == theta(exp_stream, 1)
+        assert t.entries[0][0] == theta(exp_stream, 1)
+        assert t.entries[0][1] == theta(exp_stream, 2)
+        assert t.entries[1][0] == theta(exp_stream, 0)
+        assert t.entries[1][1] == theta(exp_stream, 1)
 
     def test_column_reversal_reproduces_core(self, exp_stream):
         # m=1, l<m (zero-padded negative indices), l=m and l>m
@@ -99,7 +99,7 @@ class TestRawToeplitz:
             h = hankel_core(exp_stream, l, m)
             for i in range(m):
                 for j in range(m):
-                    assert t.entry(i, m - 1 - j)._mpf_ == h.entry(i, j)._mpf_
+                    assert t.entries[i][m - 1 - j]._mpf_ == h.entries[i][j]._mpf_
 
 
 class TestDetRelation:

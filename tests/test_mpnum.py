@@ -19,6 +19,7 @@ from hankelspectra import (
     to_decimal,
     trace,
 )
+from hankelspectra import mpnum
 from hankelspectra.mpnum import (
     ConvergenceError,
     IdentityError,
@@ -34,6 +35,8 @@ from conftest import (
     char_poly,
     cofactor_det,
     eigsy_oracle,
+    exact_fraction,
+    gauss_det,
     rand_symmetric,
 )
 
@@ -87,6 +90,28 @@ class TestDetLU:
             with workprec(300):
                 expected = +da if inv % 2 == 0 else -da
             assert rel_err(db, expected) < mpf(10) ** -30
+
+    @staticmethod
+    def _assert_exact(A, rel):
+        exact = gauss_det(A.entries)
+        got = exact_fraction(det_lu(A, 512))
+        assert abs(got - exact) <= rel * abs(exact), float(got / exact - 1)
+
+    @pytest.mark.parametrize("m", [20, 32])
+    def test_graded_exponential_vs_exact(self, m):
+        # 1/k! matrices: the pivots fall by hundreds of orders, where fixed
+        # point loses relative digits first
+        stream = generate(builtin_spec("exponential"), m, 256)
+        self._assert_exact(signed_hankel(stream, 1, m).matrix,
+                           Fraction(1, 10 ** 120))
+
+    def test_c9_m24_vs_exact(self):
+        self._assert_exact(_c9_matrix(), Fraction(1, 10 ** 120))
+
+    def test_rank_deficient_exact_zero(self, geo1_stream):
+        A = signed_hankel(geo1_stream, 1, 8).matrix
+        assert gauss_det(A.entries) == 0
+        assert det_lu(A, 512)._mpf_ == mpf(0)._mpf_
 
 
 class TestSymEigenvalues:
@@ -245,6 +270,34 @@ class TestIndependentOracle:
             bound = frobenius_norm(A, 64) * mpf(2) ** -(prec - 2)
             for e, o in zip(res.eigenvalues, oracle):
                 assert abs(e - o) <= bound, (e, o, bound)
+
+
+class TestDeflation:
+    """The deflation tol that ``adaptive_solve`` passes leaves an
+    off-diagonal residual of at most 2^-(prec+32) * ||A||_F per level."""
+
+    @pytest.mark.parametrize("spec, m", [
+        (analytic_spec("zeta-star"), 64),
+        (builtin_spec("exponential"), 32),
+    ])
+    def test_residual_per_level(self, monkeypatch, spec, m):
+        A = signed_hankel(generate(spec, m, 256), 1, m).matrix
+        levels = {}
+        solve = mpnum.sym_eigenvalues
+
+        def recording(A, prec, tol, *args, **kwargs):
+            levels[prec] = res = solve(A, prec, tol, *args, **kwargs)
+            return res
+
+        monkeypatch.setattr(mpnum, "sym_eigenvalues", recording)
+        adaptive_solve(A, 30)
+        assert sorted(levels) == [256, 512]
+        fnorm = frobenius_norm(A, 128)
+        with workprec(128):
+            for prec, res in levels.items():
+                bound = fnorm * mpf(2) ** -(prec + 32)
+                assert res.offdiag_residual <= bound, (
+                    prec, res.offdiag_residual)
 
 
 class TestAdaptiveSolve:
