@@ -53,8 +53,7 @@ run sweep --func geometric:1 --l 1 --m-max 6 --format json \
     --out sweep_geometric.json
 run spectrum --func exponential --l 2 --m 5 --format json \
     --out spectrum_exponential.json
-# m=64 is the largest matrix of the set, and the smallest zeta-star size at
-# which a QL chase too coarse for e_i near the deflation threshold stalls
+# m=64 is the largest matrix of the set
 run spectrum --func zeta-star --l 1 --m 64 --digits 30 --format json \
     --out spectrum_zeta_star.json
 run dist --func exponential --l 1 --m 8 --out dist_exponential.csv

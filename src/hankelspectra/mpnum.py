@@ -20,20 +20,24 @@ global mpmath context and safe to call concurrently from worker processes.
 requested precision.  ``det_lu`` and the eigensolver share one fixed-point
 form instead (``_scaled_rows``): one power of two scales the matrix to norm
 at most 1, and every entry becomes an integer with those guard bits plus
-16 more as fraction bits.  LU with partial pivoting, the Householder
-reduction and the root-free QL chase are integer arithmetic floored back
-to that fixed point (Parlett, The Symmetric Eigenvalue Problem, ch. 7-8;
-Golub & Van Loan, Matrix Computations, sec. 3.4 and 8.3).  The
-eigensolver's rounding error is therefore absolute, about
-2^-(prec+48) * ||A||_F, and ``adaptive_solve`` deflates an off-diagonal
-entry only below 2^-(prec+40) * ||A||_F, so every eigenvalue of a level is
-within about n * 2^-(prec+40) * ||A||_F of the rounded matrix's, far below
-the zero floor ||A||_F * 2^-(prec-16) under which an eigenvalue counts as
-zero.  Relative digits of small eigenvalues come from the ladder's higher
-levels, not from the kernel.  A computed eigenvalue within
-2^-(prec+32) * 2^E of 0, inside that rounding, is reported as exact 0, and
-a pivot column that is zero at the fixed point gives a determinant of
-exact 0: zero at working precision, not a proof of singularity.
+16 more as fraction bits; for ``det_lu`` the fraction bits also span the
+exponent range of the entries, so LU on a graded matrix keeps each pivot
+accurate relative to its own size.  LU with partial pivoting, the
+Householder reduction and the root-free QL chase are integer arithmetic
+floored back to that fixed point; only the chase's rotation scalars keep F
+significant bits, as in floating point (Parlett, The Symmetric Eigenvalue
+Problem, ch. 7-8; Golub & Van Loan, Matrix Computations, sec. 3.4 and
+8.3).  The eigensolver's rounding error is therefore absolute, about
+2^-(prec+48) * ||A||_F per step, and ``adaptive_solve`` deflates an
+off-diagonal entry only below 2^-(prec+40) * ||A||_F, so every eigenvalue
+of a level is within about n * 2^-(prec+40) * ||A||_F of the rounded
+matrix's, clustered ones included, far below the zero floor
+||A||_F * 2^-(prec-16) under which an eigenvalue counts as zero.  Relative
+digits of small eigenvalues come from the ladder's higher levels, not from
+the kernel.  A computed eigenvalue within 2^-(prec+32) * 2^E of 0, inside
+that rounding, is reported as exact 0, and a pivot column that is zero at
+the fixed point gives a determinant of exact 0: zero at working precision,
+not a proof of singularity.
 """
 
 from __future__ import annotations
@@ -186,20 +190,23 @@ def _within_rel(x: mpf, y: mpf, exp: int) -> bool:
 def det_lu(A: RealMatrix, prec: int) -> mpf:
     """Determinant via LU with partial pivoting in fixed point.
 
-    Runs on the scaled integer rows of ``_scaled_rows``: each multiplier is
-    f = (a_rc << F) // pivot and each row update a -= f*w >> F.  The
-    |pivots| go into a running product cut back to 2F bits, the cut bits
-    into an exponent; the product times the permutation sign is rounded to
-    ``prec`` once.  A pivot column that is zero at scale F returns exact
-    0, which here means zero at working precision; only
-    ``_exactly_singular`` decides whether the matrix is exactly singular.
+    Runs on the graded fixed-point form of ``_scaled_rows``, whose F
+    fraction bits span the exponent range of the entries, so the pivots of
+    a graded matrix such as the Hankel matrix of 1/k! stay accurate
+    relative to their own size.  Each multiplier is f = (a_rc << F) //
+    pivot and each row update a -= f*w >> F.  The |pivots| go into a
+    running product cut back to 2F bits, the cut bits into an exponent;
+    the product times the permutation sign is rounded to ``prec`` once.
+    A pivot column that is zero at scale F returns exact 0, which here
+    means zero at working precision; only ``_exactly_singular`` decides
+    whether the matrix is exactly singular.
     """
     n = A.dim
     if n < 1:
         raise ValueError("determinant of an empty matrix")
     if prec < 64:
         raise ValueError("prec must be >= 64")
-    E, F, a = _scaled_rows(A, prec)
+    E, F, a = _scaled_rows(A, prec, graded=True)
     negative = False
     man, exp = 1, n * (E - F)
     for col in range(n):
@@ -235,18 +242,24 @@ def _to_fixed(raw, shift):
     return -v if sign else v
 
 
-def _scaled_rows(A: RealMatrix, prec: int, upper: bool = False):
+def _scaled_rows(A: RealMatrix, prec: int, upper: bool = False,
+                 graded: bool = False):
     """The kernels' fixed-point form of ``A``: (E, F, integer rows).
 
     One power of two 2^E >= n * max|a_ij| >= ||A||_F scales the matrix,
     and each entry becomes the nearest integer of a_ij * 2^(F-E) with
-    F = guard_prec(prec, n) + 16 fraction bits.  With ``upper`` only the
-    upper triangle is kept: row i holds entries (i, i..n-1).
+    F = guard_prec(prec, n) + 16 fraction bits.  With ``graded`` F also
+    spans the exponent range of the nonzero entries, so the smallest of
+    them keeps as many bits of its own as the largest.  With ``upper``
+    only the upper triangle is kept: row i holds entries (i, i..n-1).
     """
     rows = A.raw_rows()
     n = len(rows)
-    top = max((r[2] + r[3] for row in rows for r in row if r[1]), default=0)
+    tops = [r[2] + r[3] for row in rows for r in row if r[1]]
+    top = max(tops, default=0)
     F = guard_prec(prec, n) + 16
+    if graded and tops:
+        F += top - min(tops)
     E = top + (n - 1).bit_length()
     shift = F - E
     return E, F, [[_to_fixed(r, shift) for r in (row[i:] if upper else row)]
@@ -361,9 +374,17 @@ def _ql_step(d, e2, l, m, F):
 
     ``d`` is at scale F and ``e2`` holds the squared off-diagonal at scale
     2F.  The Wilkinson shift takes the one square root of the iteration;
-    the chase carries c = cos^2 and s = sin^2 of each rotation at scale F
-    and needs none (Parlett, The Symmetric Eigenvalue Problem, sec. 8.15;
-    LAPACK dsterf).
+    the chase carries c = cos^2 and s = sin^2 of each rotation and needs
+    none (Parlett, The Symmetric Eigenvalue Problem, sec. 8.15; LAPACK
+    dsterf).  As in dsterf's floating point, c, s and the bulge p =
+    gamma^2 / c keep F significant bits each, as cm / 2^cx, sm / 2^sx and
+    pm / 2^px (p at scale 2F): a c, s or p with F fraction bits only loses
+    its digits when it is small, which is when the chase crosses a tiny
+    e_i or a bulge near 0, and the next division by c turns that loss into
+    an error of the eigenvalues.  The smaller of c and s comes from the
+    division, the other is 1 minus it.  gamma is at scale 2F, so that
+    gamma^2 / c keeps its digits too; c is 0 only when p is, and then p =
+    oldc * bb is the limit of gamma^2 / c.
     """
     dl, el2 = d[l], e2[l]
     delta = d[l + 1] - dl
@@ -371,23 +392,37 @@ def _ql_step(d, e2, l, m, F):
     if delta < 0:
         root = -root
     sigma = dl - (2 * el2) // (delta + root)
-    one = 1 << F
-    c, s = one, 0
-    gamma = d[m] - sigma
-    p = gamma * gamma
+    one, F2 = 1 << F, 2 * F
+    cm, cx, sm, sx = one, F, 0, F
+    gamma = (d[m] - sigma) << F
+    pm, px = gamma * gamma >> F2, 0
     for i in range(m - 1, l - 1, -1):
-        bb = e2[i]
-        r = p + bb
+        bb = e2[i] << px
+        r = pm + bb
         if i + 1 < m:
-            e2[i + 1] = s * r >> F
-        oldc, oldgam = c, gamma
-        c = (p << F) // r
-        s = one - c
-        gamma = (c * (d[i] - sigma) - s * oldgam) >> F
-        d[i + 1] = oldgam + d[i] - gamma
-        p = (gamma * gamma << F) // c if c else oldc * bb >> F
-    e2[l] = s * p >> F
-    d[l] = sigma + gamma
+            e2[i + 1] = sm * r >> (sx + px)
+        oldcm, oldcx, oldgam = cm, cx, gamma
+        t = d[i] - sigma
+        if pm > bb:
+            sx = F + r.bit_length() - bb.bit_length()
+            sm = (bb << sx) // r
+            cm, cx = one - (sm >> (sx - F)), F
+            gamma = cm * t - (sm * oldgam >> sx)
+        else:
+            cx = F + r.bit_length() - pm.bit_length()
+            cm = (pm << cx) // r
+            sm, sx = one - (cm >> (cx - F)), F
+            gamma = (cm * t << F >> cx) - (sm * oldgam >> F)
+        d[i + 1] = d[i] + ((oldgam - gamma) >> F)
+        if cm:
+            g2 = gamma * gamma
+            k = max(F2 + 1 - g2.bit_length(), cx - F2)
+            pm = (g2 << k) // cm if k >= 0 else (g2 >> -k) // cm
+            px = F2 - cx + k
+        else:
+            pm, px = oldcm * e2[i], oldcx
+    e2[l] = sm * pm >> (sx + px)
+    d[l] = sigma + (gamma >> F)
 
 
 def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,

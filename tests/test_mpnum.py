@@ -10,9 +10,11 @@ from hankelspectra import (
     analytic_spec,
     builtin_spec,
     det_lu,
+    det_relation_check,
     frobenius_norm,
     from_decimal,
     generate,
+    hankel_core,
     real_matrix,
     signed_hankel,
     sym_eigenvalues,
@@ -92,9 +94,9 @@ class TestDetLU:
             assert rel_err(db, expected) < mpf(10) ** -30
 
     @staticmethod
-    def _assert_exact(A, rel):
+    def _assert_exact(A, rel, prec=512):
         exact = gauss_det(A.entries)
-        got = exact_fraction(det_lu(A, 512))
+        got = exact_fraction(det_lu(A, prec))
         assert abs(got - exact) <= rel * abs(exact), float(got / exact - 1)
 
     @pytest.mark.parametrize("m", [20, 32])
@@ -104,6 +106,23 @@ class TestDetLU:
         stream = generate(builtin_spec("exponential"), m, 256)
         self._assert_exact(signed_hankel(stream, 1, m).matrix,
                            Fraction(1, 10 ** 120))
+
+    def test_graded_exponential_at_256_bits(self):
+        # check v2/v3 and det_relation_check call det_lu once at 256 bits,
+        # with no precision ladder to make up for lost relative digits
+        stream = generate(builtin_spec("exponential"), 48, 256)
+        self._assert_exact(signed_hankel(stream, 1, 48).matrix,
+                           Fraction(1, 10 ** 70), prec=256)
+
+    @pytest.mark.parametrize("m", [50, 80])
+    def test_graded_relation_at_256_bits(self, m):
+        # sizes at which a fixed point blind to the grading of 1/k! leaves
+        # the Hankel and Toeplitz determinants apart, or a pivot column 0
+        stream = generate(builtin_spec("exponential"), m, 256)
+        rep = det_relation_check(stream, 1, m, 256)
+        assert rep.ok and rep.rel_error <= mpf(10) ** -70, rep.rel_error
+        wide = det_lu(hankel_core(stream, 1, m), 1024)
+        assert rel_err(rep.det_hankel, wide) <= mpf(10) ** -70
 
     def test_c9_m24_vs_exact(self):
         self._assert_exact(_c9_matrix(), Fraction(1, 10 ** 120))
@@ -270,6 +289,90 @@ class TestIndependentOracle:
             bound = frobenius_norm(A, 64) * mpf(2) ** -(prec - 2)
             for e, o in zip(res.eigenvalues, oracle):
                 assert abs(e - o) <= bound, (e, o, bound)
+
+
+class TestClusteredEigenvalues:
+    """Each eigenvalue must be within its final rounding to prec plus the
+    stated kernel bound n * 2^-(prec+40) * ||A||_F of mpmath's eigsy at
+    2*prec + 64 bits, on matrices whose eigenvalues come in clusters."""
+
+    @staticmethod
+    def _wilkinson_plus(k):
+        n = 2 * k + 1
+        return [[mpf(abs(k - i)) if i == j else mpf(int(abs(i - j) == 1))
+                 for j in range(n)] for i in range(n)]
+
+    @staticmethod
+    def _check(rows, prec):
+        A = real_matrix(rows, symmetric=True)
+        res = sym_eigenvalues(A, prec, mpf(2) ** -(prec + 40))
+        oracle = eigsy_oracle(A.entries, prec)
+        with workprec(2 * prec + 64):
+            kernel = A.dim * frobenius_norm(A, 64) * mpf(2) ** -(prec + 40)
+            for e, o in zip(res.eigenvalues, oracle):
+                bound = abs(o) * mpf(2) ** -prec + kernel
+                assert abs(e - o) <= bound, (e, o, bound)
+        return oracle
+
+    @pytest.mark.parametrize("k", [20, 30])
+    @pytest.mark.parametrize("prec", [256, 512])
+    def test_wilkinson_plus(self, k, prec):
+        # pairs that agree to about 10^-37 at k = 20 and 10^-65 at k = 30;
+        # the shift by the top eigenvalue rounded to 64 bits puts the top
+        # pair near 2^-62, where the final rounding does not hide its error
+        rows = self._wilkinson_plus(k)
+        with workprec(64):
+            top = +eigsy_oracle(rows, 64)[-1]
+        with workprec(128):
+            for i in range(len(rows)):
+                rows[i][i] -= top
+        oracle = self._check(rows, prec)
+        assert oracle[-1] - oracle[-2] < mpf(10) ** -30
+
+    @pytest.mark.parametrize("blocks, coupling", [(2, -60), (3, -200)])
+    @pytest.mark.parametrize("prec", [256, 512])
+    def test_glued_wilkinson(self, blocks, coupling, prec):
+        # copies of W+ (k = 7) joined by off-diagonal entries 2^coupling:
+        # every eigenvalue comes in a cluster of `blocks`, and the chase
+        # crosses a tiny e_i each sweep
+        w = self._wilkinson_plus(7)
+        n = len(w) * blocks
+        rows = [[mpf(0)] * n for _ in range(n)]
+        for b in range(blocks):
+            o = b * len(w)
+            for i, row in enumerate(w):
+                rows[o + i][o:o + len(w)] = row
+            if b:
+                rows[o - 1][o] = rows[o][o - 1] = mpf(2) ** coupling
+        self._check(rows, prec)
+
+
+class TestQLStep:
+    """One root-free QL iteration is an orthogonal similarity, so it must
+    keep the characteristic polynomial of the tridiagonal (d, e^2)."""
+
+    @staticmethod
+    def _char_poly3(d, e2, F):
+        d0, d1, d2 = (Fraction(x, 1 << F) for x in d)
+        f0, f1 = (Fraction(x, 1 << (2 * F)) for x in e2[:2])
+        return (d0 + d1 + d2, d0 * d1 + d0 * d2 + d1 * d2 - f0 - f1,
+                d0 * d1 * d2 - d0 * f1 - d2 * f0)
+
+    def test_cos_squared_below_one_unit(self):
+        # d[m] sits 2^-(3F/5) above the shift, so the first rotation has
+        # c = gamma^2 / (gamma^2 + e^2) near 2^-(6F/5): below one unit at
+        # scale F, while gamma is far above 2^-F
+        F = guard_prec(256, 3) + 16
+        one = 1 << F
+        d, e2 = [3 * one, one, 0], [one * one, one * one, 0]
+        delta = d[1] - d[0]
+        root = -mpnum.math.isqrt(delta * delta + 4 * e2[0])
+        d[2] = d[0] - (2 * e2[0]) // (delta + root) + (1 << (2 * F // 5))
+        before = self._char_poly3(d, e2, F)
+        mpnum._ql_step(d, e2, 0, 2, F)
+        after = self._char_poly3(d, e2, F)
+        for x, y in zip(before, after):
+            assert abs(x - y) <= Fraction(2) ** -(F - 8), float(x - y)
 
 
 class TestDeflation:
