@@ -557,23 +557,21 @@ def builtin_spec(family: str, *params) -> FunctionSpec:
     return FunctionSpec(name=name, kind="builtin", family=family, params=sp)
 
 
-def analytic_spec(generator_id: str, name: str = "", s0=("0", "0"),
-                  pole_removal: str = "", ring_radius: str = "",
-                  analyticity_radius: str = "") -> FunctionSpec:
+def analytic_spec(generator_id: str) -> FunctionSpec:
+    """The spec of a registered generator, expanded at s0 = 0.
+
+    Other expansions come from ``load_analytic_config``.
+    """
     reg = GENERATORS.get(generator_id)
-    if reg is None and not pole_removal:
-        raise UnknownGeneratorError(
-            "unknown generator %r and no expression supplied" % generator_id
-        )
-    defaults = reg or {}
+    if reg is None:
+        raise UnknownGeneratorError("unknown generator %r" % generator_id)
     return FunctionSpec(
-        name=name or generator_id,
+        name=generator_id,
         kind="analytic",
-        s0=tuple(str(v) for v in s0),
-        pole_removal=pole_removal or defaults.get("expression", ""),
-        ring_radius=str(ring_radius or defaults.get("ring_radius", "1")),
-        analyticity_radius=str(analyticity_radius
-                               or defaults.get("analyticity_radius", "inf")),
+        s0=("0", "0"),
+        pole_removal=reg["expression"],
+        ring_radius=reg["ring_radius"],
+        analyticity_radius=reg["analyticity_radius"],
         generator_id=generator_id,
     )
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpf, workprec
 
 from .dist import mean, sup_distance, tail_sums
-from .mpnum import _within_rel, to_decimal
+from .mpnum import IDENTITY_REL_EXP, IdentityError, _identity_state, to_decimal
 
 SUPPORTED = "SUPPORTED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -44,17 +44,12 @@ RATE_FLAT_EPS = 1e-9             # treat smaller y-increments as converged
 CONST_DRIFT_TOL = 0.01           # |ln step ratio| beyond this is geometric drift
 CONST_DISPERSION_TOL = 0.05      # relative tail dispersion for a stable constant
 DIVERGENCE_DELTA = 0.5           # min growth per dyadic checkpoint (2A/2B)
-PRODUCT_IDENTITY_EXP = -25       # |prod mu| vs |det| cross-check: 10^-25
 
 
 class ZeroDeterminantError(ValueError):
     def __init__(self, m):
         super().__init__("determinant at m=%d is zero" % m)
         self.m = m
-
-
-class ProductIdentityError(RuntimeError):
-    """|prod mu| and |det| disagree beyond 10^-25 (insufficient precision)."""
 
 
 @dataclass(frozen=True)
@@ -290,15 +285,15 @@ def estimate_constant_factor(dets, growth_rate) -> TrendReport:
 
 
 def check_eigenvalue_product_rate(records) -> TrendReport:
-    """Cross-check |prod mu| against |det| per record, then rate-extrapolate.
+    """Cross-check prod mu against det per record, then rate-extrapolate.
 
-    The product/determinant equality is algebraic at every finite m; any
-    violation beyond 10^-25 relative signals insufficient precision and
-    raises rather than producing a misleading trend.  A record with
-    zeros-at-precision is checked by the rule it was accepted under: both
-    |prod mu| and |det| at most 2^(2m) * prod max(|mu|, zero_threshold).
-    It then counts as product 0, so a trend over 4 or more records raises
-    ``ZeroDeterminantError`` naming its m.
+    Each record is judged by the identity rule it was accepted under,
+    ``mpnum._identity_state`` with its own determinant and zero floor.
+    The product/determinant equality is algebraic at every finite m, so a
+    violation signals insufficient precision and raises ``IdentityError``
+    rather than producing a misleading trend.  A record with
+    zeros-at-precision counts as product 0, so a trend over 4 or more
+    records raises ``ZeroDeterminantError`` naming its m.
     """
     if not records:
         raise ValueError("no records")
@@ -306,21 +301,14 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
     pairs = []
     roots = []
     for rec in records:
+        ok, zeros = _identity_state(rec.eigenvalues, rec.det,
+                                    rec.zero_threshold, rec.precision_used)
+        if not ok:
+            raise IdentityError(
+                "l=%d m=%d: eigenvalue product and determinant disagree at "
+                "%d bits" % (rec.l, rec.m, rec.precision_used))
         with workprec(rec.precision_used + 32):
-            prod = mp.fprod(rec.eigenvalues)
-            if rec.zero_count:
-                bound = mpf(2) ** (2 * rec.m) * mp.fprod(
-                    max(abs(mu), rec.zero_threshold) for mu in rec.eigenvalues)
-                ok = abs(prod) <= bound and abs(rec.det) <= bound
-                prod = mpf(0)
-            else:
-                ok = _within_rel(abs(prod), abs(rec.det), PRODUCT_IDENTITY_EXP)
-            if not ok:
-                raise ProductIdentityError(
-                    "l=%d m=%d: |eigenvalue product| and |determinant| "
-                    "disagree beyond 1e%d"
-                    % (rec.l, rec.m, PRODUCT_IDENTITY_EXP)
-                )
+            prod = mpf(0) if zeros else mp.fprod(rec.eigenvalues)
             root = +(abs(prod) ** (mpf(1) / rec.m))
         pairs.append((rec.m, prod))
         roots.append((rec.m, root))
@@ -335,7 +323,7 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
         check_id="v5", l=records[0].l, m_grid=tuple(m for m, _ in pairs),
         series={"product_mth_root": tuple(roots)},
         estimator_id="aitken-d2-dyadic-log-root",
-        thresholds=dict(thresholds, identity_exp=PRODUCT_IDENTITY_EXP),
+        thresholds=dict(thresholds, identity_exp=IDENTITY_REL_EXP),
         verdict=verdict, limit=limit, notes=notes,
     )
 

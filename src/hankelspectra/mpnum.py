@@ -15,49 +15,48 @@ global mpmath context and safe to call concurrently from worker processes.
                          doubling precisions until two consecutive levels
                          agree and ``accept_level`` accepts the level.
 
-``trace`` and ``frobenius_norm`` compute in floating point with
-``prec + 32 + 2*ceil(log2(m))`` guard bits and round results to the
-requested precision.  ``det_lu`` and the eigensolver share one fixed-point
-form instead (``_scaled_rows``): one power of two scales the matrix to norm
-at most 1, and every entry becomes an integer with those guard bits plus
-16 more as fraction bits; for ``det_lu`` the fraction bits also span the
-exponent range of the entries, so LU on a graded matrix keeps each pivot
-accurate relative to its own size.  LU with partial pivoting, the
-Householder reduction and the root-free QL chase are integer arithmetic
-floored back to that fixed point; only the chase's rotation scalars keep F
-significant bits, as in floating point (Parlett, The Symmetric Eigenvalue
-Problem, ch. 7-8; Golub & Van Loan, Matrix Computations, sec. 3.4 and
-8.3).  The eigensolver's rounding error is therefore absolute, about
-2^-(prec+48) * ||A||_F per step, and ``adaptive_solve`` deflates an
-off-diagonal entry only below 2^-(prec+40) * ||A||_F, so every eigenvalue
-of a level is within about n * 2^-(prec+40) * ||A||_F of the rounded
-matrix's, clustered ones included, far below the zero floor
-||A||_F * 2^-(prec-16) under which an eigenvalue counts as zero.  Relative
-digits of small eigenvalues come from the ladder's higher levels, not from
-the kernel.  A computed eigenvalue within 2^-(prec+32) * 2^E of 0, inside
-that rounding, is reported as exact 0, and a pivot column that is zero at
-the fixed point gives a determinant of exact 0: zero at working precision,
-not a proof of singularity.
+Every matrix routine reads one exact integer form, ``RealMatrix.exact``,
+built once per matrix: each entry is an integer times one common power of
+two.  ``trace`` and ``frobenius_norm`` sum it exactly and round once to
+the requested precision, and ``_exactly_singular`` runs fraction-free
+elimination on it.  ``det_lu`` and the eigensolver round it to one
+fixed-point form (``_scaled_rows``): one power of two scales the matrix to
+norm at most 1, and every entry becomes an integer with
+``prec + 32 + 2*ceil(log2(m))`` guard bits plus 16 more as fraction bits;
+for ``det_lu`` the fraction bits also span the exponent range of the
+entries, so LU on a graded matrix keeps each pivot accurate relative to
+its own size.  LU with partial pivoting, the Householder reduction and the
+root-free QL chase are integer arithmetic floored back to that fixed
+point; only the chase's rotation scalars keep F significant bits, as in
+floating point (Parlett, The Symmetric Eigenvalue Problem, ch. 7-8; Golub
+& Van Loan, Matrix Computations, sec. 3.4 and 8.3).  The eigensolver's
+rounding error is therefore absolute, about 2^-(prec+48) * ||A||_F per
+step, and it deflates an off-diagonal entry only below
+2^-(prec+40) * ||A||_F, so every eigenvalue of a level is within about
+n * 2^-(prec+40) * ||A||_F of the rounded matrix's, clustered ones
+included, far below the zero floor ||A||_F * 2^-(prec-16) under which an
+eigenvalue counts as zero.  Relative digits of small eigenvalues come from
+the ladder's higher levels, not from the kernel.  A computed eigenvalue
+within 2^-(prec+32) * 2^E of 0, inside that rounding, is reported as exact
+0, and a pivot column that is zero at the fixed point gives a determinant
+of exact 0: zero at working precision, not a proof of singularity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import add, mul
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
     from_man_exp,
     from_str,
-    fone,
     fzero,
     mpf_abs,
-    mpf_add,
     mpf_gt,
     mpf_mul,
-    mpf_pos,
-    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
@@ -139,8 +138,18 @@ class RealMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def raw_rows(self):
-        return [[x._mpf_ for x in row] for row in self.entries]
+    @cached_property
+    def exact(self):
+        """(low, rows): entry (i, j) is exactly rows[i][j] * 2^low.
+
+        ``low`` is the lowest exponent of the nonzero entries (0 if there
+        are none), so every entry is an integer at that scale.
+        """
+        raws = [[x._mpf_ for x in row] for row in self.entries]
+        low = min((r[2] for row in raws for r in row if r[1]), default=0)
+        return low, tuple(
+            tuple((-1) ** sign * (man << exp - low) if man else 0
+                  for sign, man, exp, _ in row) for row in raws)
 
 
 def real_matrix(rows, symmetric: bool = False) -> RealMatrix:
@@ -165,20 +174,17 @@ def real_matrix(rows, symmetric: bool = False) -> RealMatrix:
 
 
 def trace(A: RealMatrix, prec: int) -> mpf:
-    wp = guard_prec(prec, A.dim)
-    acc = fzero
-    for i in range(A.dim):
-        acc = mpf_add(acc, A.entries[i][i]._mpf_, wp, _RND)
-    return make_mpf(mpf_pos(acc, prec, _RND))
+    """The exact sum of the diagonal, rounded once to ``prec``."""
+    low, rows = A.exact
+    return make_mpf(from_man_exp(sum(row[i] for i, row in enumerate(rows)),
+                                 low, prec, _RND))
 
 
 def frobenius_norm(A: RealMatrix, prec: int) -> mpf:
-    wp = guard_prec(prec, A.dim)
-    acc = fzero
-    for row in A.raw_rows():
-        for r in row:
-            acc = mpf_add(acc, mpf_mul(r, r, wp, _RND), wp, _RND)
-    return make_mpf(mpf_pos(mpf_sqrt(acc, wp, _RND), prec, _RND))
+    """The square root of the exact sum of squares, rounded once."""
+    low, rows = A.exact
+    norm2 = from_man_exp(sum(v * v for row in rows for v in row), 2 * low)
+    return make_mpf(mpf_sqrt(norm2, prec, _RND))
 
 
 def _within_rel(x: mpf, y: mpf, exp: int) -> bool:
@@ -234,49 +240,43 @@ def det_lu(A: RealMatrix, prec: int) -> mpf:
     return make_mpf(from_man_exp(-man if negative else man, exp, prec, _RND))
 
 
-def _to_fixed(raw, shift):
-    """Round-to-nearest integer of raw * 2^shift (ties away from zero)."""
-    sign, man, exp, _ = raw
-    k = exp + shift
-    v = man << k if k >= 0 else (man + (1 << (-k - 1))) >> -k
-    return -v if sign else v
-
-
 def _scaled_rows(A: RealMatrix, prec: int, upper: bool = False,
                  graded: bool = False):
     """The kernels' fixed-point form of ``A``: (E, F, integer rows).
 
     One power of two 2^E >= n * max|a_ij| >= ||A||_F scales the matrix,
-    and each entry becomes the nearest integer of a_ij * 2^(F-E) with
-    F = guard_prec(prec, n) + 16 fraction bits.  With ``graded`` F also
-    spans the exponent range of the nonzero entries, so the smallest of
-    them keeps as many bits of its own as the largest.  With ``upper``
-    only the upper triangle is kept: row i holds entries (i, i..n-1).
+    and each entry of ``A.exact`` becomes the nearest integer of
+    a_ij * 2^(F-E), ties away from zero, with F = guard_prec(prec, n) + 16
+    fraction bits.  With ``graded`` F also spans the exponent range of the
+    nonzero entries, so the smallest of them keeps as many bits of its own
+    as the largest.  With ``upper`` only the upper triangle is kept: row i
+    holds entries (i, i..n-1).
     """
-    rows = A.raw_rows()
+    low, rows = A.exact
     n = len(rows)
-    tops = [r[2] + r[3] for row in rows for r in row if r[1]]
+    tops = [low + abs(v).bit_length() for row in rows for v in row if v]
     top = max(tops, default=0)
     F = guard_prec(prec, n) + 16
     if graded and tops:
         F += top - min(tops)
     E = top + (n - 1).bit_length()
-    shift = F - E
-    return E, F, [[_to_fixed(r, shift) for r in (row[i:] if upper else row)]
+    k = low + F - E
+    if k >= 0:
+        return E, F, [[v << k for v in (row[i:] if upper else row)]
+                      for i, row in enumerate(rows)]
+    half = 1 << (-k - 1)
+    return E, F, [[(v + half) >> -k if v >= 0 else -((half - v) >> -k)
+                   for v in (row[i:] if upper else row)]
                   for i, row in enumerate(rows)]
 
 
 def _exactly_singular(A: RealMatrix) -> bool:
     """True when det(A) is exactly 0, decided by fraction-free elimination.
 
-    The entries are dyadic rationals, so one power of two turns them into
-    integers, and Bareiss elimination finds a zero pivot column exactly.
+    Bareiss elimination on the integers of ``A.exact`` finds a zero pivot
+    column exactly.
     """
-    rows = A.raw_rows()
-    low = min((r[2] for row in rows for r in row if r[1]), default=None)
-    if low is None:
-        return True
-    a = [[_to_fixed(r, -low) for r in row] for row in rows]
+    a = [list(row) for row in A.exact[1]]
     n = len(a)
     prev = 1
     for k in range(n):
@@ -314,12 +314,14 @@ class EigenResult:
         return len(self.eigenvalues)
 
 
-def _diagonal_result(rows, prec):
-    """The exact result for exactly diagonal raw rows, else None."""
-    n = len(rows)
-    if any(rows[i][j] != fzero for i in range(n) for j in range(n) if i != j):
+def _diagonal_result(A, prec):
+    """The exact result for an exactly diagonal ``A``, else None."""
+    low, rows = A.exact
+    if any(v for i, row in enumerate(rows) for j, v in enumerate(row)
+           if i != j):
         return None
-    eigs = sorted(make_mpf(mpf_pos(rows[i][i], prec, _RND)) for i in range(n))
+    eigs = sorted(make_mpf(from_man_exp(row[i], low, prec, _RND))
+                  for i, row in enumerate(rows))
     return EigenResult(eigenvalues=tuple(eigs), precision_used=prec,
                        offdiag_residual=make_mpf(fzero), sweeps=0)
 
@@ -425,38 +427,34 @@ def _ql_step(d, e2, l, m, F):
     d[l] = sigma + (gamma >> F)
 
 
-def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
-                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenResult:
+def sym_eigenvalues(A: RealMatrix, prec: int) -> EigenResult:
     """Eigenvalues of a symmetric matrix by Householder and root-free QL.
 
     Works on the fixed-point form of ``_scaled_rows``.  Householder
     reflections reduce it to tridiagonal form in one pass; root-free
     implicit QL with a Wilkinson shift then chases each squared
-    off-diagonal down until e_i^2 <= tol^2 * ||A||_F^2, compared exactly as
-    integers.  ``max_sweeps`` caps the QL iterations per eigenvalue and
-    ``sweeps`` counts them all; past the cap, ``ConvergenceError`` carries
-    the off-diagonal Frobenius norm of the current matrix.  Rounding stays
-    near 2^-(prec+48) * ||A||_F, and each deflated e_i moves the
-    eigenvalues by at most |e_i| (Weyl), so ``adaptive_solve``'s
-    tol = 2^-(prec+40) keeps every eigenvalue within about
-    n * 2^-(prec+40) * ||A||_F of the rounded matrix's.  A value within
-    2^-(prec+32) * 2^E of 0 is reported as exact 0.  The diagonal is
-    rounded to ``prec`` once and comes back sorted ascending.
+    off-diagonal down until e_i^2 <= 2^(-2(prec+40)) * ||A||_F^2, compared
+    exactly as integers.  ``DEFAULT_MAX_SWEEPS`` caps the QL iterations
+    per eigenvalue and ``sweeps`` counts them all; past the cap,
+    ``ConvergenceError`` carries the off-diagonal Frobenius norm of the
+    current matrix.  Rounding stays near 2^-(prec+48) * ||A||_F, and each
+    deflated e_i moves the eigenvalues by at most |e_i| (Weyl), so every
+    eigenvalue is within about n * 2^-(prec+40) * ||A||_F of the rounded
+    matrix's.  A value within 2^-(prec+32) * 2^E of 0 is reported as exact
+    0.  The diagonal is rounded to ``prec`` once and comes back sorted
+    ascending.
     """
     if not A.symmetric:
         raise NonSymmetricError("sym_eigenvalues requires the symmetric flag")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     n = A.dim
-    exact = _diagonal_result(A.raw_rows(), prec)
+    exact = _diagonal_result(A, prec)
     if exact is not None:
         return exact
     E, F, a = _scaled_rows(A, prec, upper=True)
 
-    # e_i is deflated once e_i^2 <= lim2 = tol^2 * ||A||_F^2 at scale 2F
-    _, tman, texp, _ = tol._mpf_ if isinstance(tol, mpf) else mpf(tol)._mpf_
+    # e_i is deflated once e_i^2 <= lim2 = 2^(-2(prec+40)) * ||A||_F^2
     norm2 = sum(2 * sum(x * x for x in row) - row[0] * row[0] for row in a)
-    lim2 = (tman * tman * norm2 << max(0, 2 * texp)) >> max(0, -2 * texp)
+    lim2 = norm2 >> 2 * (prec + 40)
 
     d, e = _tridiagonalize(a, F)
     e2 = [x * x for x in e]
@@ -473,11 +471,11 @@ def sym_eigenvalues(A: RealMatrix, prec: int, tol: mpf,
             m = next((i for i in range(l, n - 1) if e2[i] <= lim2), n - 1)
             if m == l:
                 break
-            if its >= max_sweeps:
+            if its >= DEFAULT_MAX_SWEEPS:
                 resid = residual()
                 raise ConvergenceError(
                     "QL did not converge in %d iterations (residual %s)"
-                    % (max_sweeps, mp.nstr(resid, 8)), residual=resid)
+                    % (DEFAULT_MAX_SWEEPS, mp.nstr(resid, 8)), residual=resid)
             its += 1
             sweeps += 1
             _ql_step(d, e2, l, m, F)
@@ -504,26 +502,23 @@ def _agree(prev: EigenResult, cur: EigenResult, target_digits: int, wp: int) -> 
     return True
 
 
-def _identity_state(eigs, det, fnorm, prec):
+def _identity_state(eigs, det, floor, prec):
     """Classify the product/determinant identity at the given precision.
 
-    Returns (ok, zero_at_precision_count, zero floor).  With no
-    zeros-at-precision the check is a strict relative comparison; otherwise
-    both sides must vanish below the scale reachable by a product containing
-    a roundoff-level factor.  The floor is exact: a 64-bit norm times a
-    power of two.
+    Returns (ok, zero_at_precision_count) for the zero ``floor`` of the
+    level.  With no zeros-at-precision the check is a strict relative
+    comparison; otherwise both sides must vanish below the scale reachable
+    by a product containing a roundoff-level factor.
     """
     with workprec(prec + 32):
-        floor = fnorm * mpf(2) ** (-(prec - ZERO_FLOOR_SLACK_BITS))
         zeros = sum(1 for mu in eigs if abs(mu) <= floor)
         prod = mp.fprod(eigs)
         if zeros == 0:
-            return _within_rel(prod, det, IDENTITY_REL_EXP), 0, floor
+            return _within_rel(prod, det, IDENTITY_REL_EXP), 0
         bound = mpf(2) ** (2 * len(eigs))
         for mu in eigs:
             bound = bound * max(abs(mu), floor)
-        ok = abs(det) <= bound and abs(prod) <= bound
-        return ok, zeros, floor
+        return abs(det) <= bound and abs(prod) <= bound, zeros
 
 
 def accept_level(A: RealMatrix, eigenvalues, prec: int,
@@ -541,8 +536,9 @@ def accept_level(A: RealMatrix, eigenvalues, prec: int,
     by it again when it is loaded.
     """
     det = det_lu(A, prec)
-    ok, zeros, floor = _identity_state(eigenvalues, det,
-                                       frobenius_norm(A, 64), prec)
+    # exact: a 64-bit norm times a power of two
+    floor = mp.ldexp(frobenius_norm(A, 64), ZERO_FLOOR_SLACK_BITS - prec)
+    ok, zeros = _identity_state(eigenvalues, det, floor, prec)
     if ok and (allow_zeros or not zeros):
         return det, floor, None
     if zeros and not allow_zeros:
@@ -580,11 +576,10 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
     reason = None
     prec = DEFAULT_START_PREC
     while prec <= prec_cap:
-        cur = _diagonal_result(A.raw_rows(), prec) if prev is None else None
+        cur = _diagonal_result(A, prec) if prev is None else None
         agreed = cur is not None
         if cur is None:
-            tol = make_mpf(mpf_shift(fone, -(prec + 40)))
-            cur = sym_eigenvalues(A, prec, tol)
+            cur = sym_eigenvalues(A, prec)
             agreed = prev is not None and _agree(prev, cur, target_digits,
                                                  guard_prec(prec, n))
         if agreed:

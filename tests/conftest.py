@@ -11,6 +11,7 @@ coefficient references come from mpmath's own functions through the Cauchy
 integral on a ring.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -38,6 +39,42 @@ def exact_fraction(x):
         v = Fraction(man) * Fraction(2) ** exp
         return -v if sign else v
     return Fraction(x)
+
+
+def round_bits(x, prec):
+    """The value nearest to the rational x with prec significant bits, ties
+    to even: x rounded once, as mpmath's round-nearest does."""
+    x = Fraction(x)
+    if not x:
+        return x
+    a = abs(x)
+    e = a.numerator.bit_length() - a.denominator.bit_length()
+    if a >= Fraction(2) ** e:
+        e += 1                        # now 2^(e-1) <= a < 2^e
+    scaled = a * Fraction(2) ** (prec - e)
+    n = math.floor(scaled)
+    if scaled - n > Fraction(1, 2) or (scaled - n == Fraction(1, 2) and n % 2):
+        n += 1
+    r = n * Fraction(2) ** (e - prec)
+    return r if x > 0 else -r
+
+
+def sqrt_round_bits(x, prec):
+    """sqrt(x) rounded once to prec bits, for a rational x >= 0.
+
+    Scaled by 4^k so that sqrt(x * 4^k) >= 2^(prec+2), every prec-bit
+    value and every midpoint between two of them is an integer, so
+    sqrt(x * 4^k) in (n, n+1) rounds as n + 1/2 does.
+    """
+    x = Fraction(x)
+    if not x:
+        return x
+    k = prec + 3 - (x.numerator.bit_length() - x.denominator.bit_length()
+                    - 1) // 2
+    X = x * Fraction(4) ** k
+    n = math.isqrt(math.floor(X))
+    root = n if n * n == X else n + Fraction(1, 2)
+    return round_bits(root, prec) / Fraction(2) ** k
 
 
 def gauss_det(rows):

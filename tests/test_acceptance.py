@@ -67,14 +67,13 @@ def test_c1_eigensolver_identities():
     t0 = time.time()
     rng = random.Random(123456)
     prec = 256
-    tol = mpf(2) ** -200
     bound = mpf(10) ** -40
     count = 0
     sizes = list(range(2, 33))
     while count < 200:
         n = sizes[count % len(sizes)]
         A = rand_symmetric(n, rng, bits=prec)
-        res = sym_eigenvalues(A, prec, tol)
+        res = sym_eigenvalues(A, prec)
         wp = prec + 64
         with workprec(wp):
             s1 = sum(res.eigenvalues, mpf(0))

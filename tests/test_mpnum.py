@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,8 @@ from conftest import (
     exact_fraction,
     gauss_det,
     rand_symmetric,
+    round_bits,
+    sqrt_round_bits,
 )
 
 CATALAN3 = [[1, 1, 2], [1, 2, 5], [2, 5, 14]]
@@ -134,22 +137,20 @@ class TestDetLU:
 
 
 class TestSymEigenvalues:
-    TOL = mpf(2) ** -180
-
     def test_diagonal(self):
         A = real_matrix([[3, 0], [0, -5]], symmetric=True)
-        res = sym_eigenvalues(A, 128, self.TOL)
+        res = sym_eigenvalues(A, 128)
         assert res.eigenvalues == (mpf(-5), mpf(3))
 
     def test_involution(self):
         A = real_matrix([[0, 1], [1, 0]], symmetric=True)
-        res = sym_eigenvalues(A, 128, self.TOL)
+        res = sym_eigenvalues(A, 128)
         assert [rel_err(e, t) < mpf(10) ** -35
                 for e, t in zip(res.eigenvalues, (-1, 1))] == [True, True]
 
     def test_rank_one_shift(self):
         A = real_matrix([[2, 1], [1, 2]], symmetric=True)
-        res = sym_eigenvalues(A, 128, self.TOL)
+        res = sym_eigenvalues(A, 128)
         assert [rel_err(e, t) < mpf(10) ** -35
                 for e, t in zip(res.eigenvalues, (1, 3))] == [True, True]
 
@@ -159,19 +160,20 @@ class TestSymEigenvalues:
         assert coeffs == [Fraction(1), Fraction(-17), Fraction(14), Fraction(-1)]
         roots = bisect_roots(coeffs, 0, 20, 3, digits=50)
         A = real_matrix(CATALAN3, symmetric=True)
-        res = sym_eigenvalues(A, 300, mpf(2) ** -250)
+        res = sym_eigenvalues(A, 300)
         for e, r in zip(res.eigenvalues, roots):
             assert rel_err(e, r) < mpf(10) ** -50
 
     def test_requires_symmetric_flag(self):
         A = real_matrix([[0, 1], [1, 0]], symmetric=False)
         with pytest.raises(NonSymmetricError):
-            sym_eigenvalues(A, 128, self.TOL)
+            sym_eigenvalues(A, 128)
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
         A = real_matrix([[2, 1], [1, 2]], symmetric=True)
+        monkeypatch.setattr(mpnum, "DEFAULT_MAX_SWEEPS", 0)
         with pytest.raises(ConvergenceError) as exc:
-            sym_eigenvalues(A, 128, self.TOL, max_sweeps=0)
+            sym_eigenvalues(A, 128)
         assert exc.value.residual is not None
         # the off-diagonal Frobenius norm sqrt(1^2 + 1^2), rounded once
         with workprec(128):
@@ -179,21 +181,63 @@ class TestSymEigenvalues:
 
     def test_zero_matrix(self):
         A = real_matrix([[0, 0], [0, 0]], symmetric=True)
-        res = sym_eigenvalues(A, 128, self.TOL)
+        res = sym_eigenvalues(A, 128)
         assert res.eigenvalues == (mpf(0), mpf(0))
         assert res.offdiag_residual == 0
 
 
+def _shifted(A, k):
+    """A times 2^k, exactly."""
+    return real_matrix([[make_mpf(mpf_shift(x._mpf_, k)) for x in row]
+                        for row in A.entries], symmetric=True)
+
+
 class TestFixedPointEdges:
-    TOL = mpf(2) ** -180
+    @staticmethod
+    def _edge_matrix(case, rng, exp_stream):
+        if case == "zero":
+            return real_matrix([[0, 0], [0, 0]], symmetric=True)
+        if case == "negative":
+            return real_matrix([[-3, 0.625, 0], [0.625, -2.0 ** -70, -1],
+                                [0, -1, 5]], symmetric=True)
+        if case in ("scaled+900", "scaled-900"):
+            return _shifted(rand_symmetric(7, rng), int(case[6:]))
+        if case == "wide_diagonal":
+            return real_matrix([[mpf(2) ** -3000, 0, 0], [0, 1, 0],
+                                [0, 0, -3 * mpf(2) ** 2000]], symmetric=True)
+        return signed_hankel(exp_stream, 1, 20).matrix
+
+    @pytest.mark.parametrize("case", ["zero", "negative", "scaled+900",
+                                      "scaled-900", "wide_diagonal",
+                                      "exponential_m20"])
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_exact_form(self, case, prec, rng, exp_stream):
+        # the one integer form reproduces every entry; trace and norm are
+        # its exact sums rounded once; the kernels' fixed point rounds it
+        # half away from zero
+        A = self._edge_matrix(case, rng, exp_stream)
+        entries = [[exact_fraction(x) for x in row] for row in A.entries]
+        low, rows = A.exact
+        assert [[v * Fraction(2) ** low for v in row] for row in rows] == \
+            entries
+        diag = sum(row[i] for i, row in enumerate(entries))
+        squares = sum(x * x for row in entries for x in row)
+        assert exact_fraction(trace(A, prec)) == round_bits(diag, prec)
+        assert exact_fraction(frobenius_norm(A, prec)) == \
+            sqrt_round_bits(squares, prec)
+        for graded in (False, True):
+            E, F, a = mpnum._scaled_rows(A, prec, graded=graded)
+            for row, ref in zip(a, entries):
+                for v, x in zip(row, ref):
+                    y = abs(x) * Fraction(2) ** (F - E)
+                    assert abs(v) == math.floor(y + Fraction(1, 2))
+                    assert v == 0 or (v < 0) == (x < 0)
 
     def test_power_of_two_scaling_is_bit_exact(self, rng):
         A = rand_symmetric(7, rng)
-        base = sym_eigenvalues(A, 256, self.TOL)
+        base = sym_eigenvalues(A, 256)
         for k in (900, -900):
-            B = real_matrix([[make_mpf(mpf_shift(x._mpf_, k)) for x in row]
-                             for row in A.entries], symmetric=True)
-            res = sym_eigenvalues(B, 256, self.TOL)
+            res = sym_eigenvalues(_shifted(A, k), 256)
             assert [x._mpf_ for x in res.eigenvalues] == \
                 [mpf_shift(x._mpf_, k) for x in base.eigenvalues]
             assert res.offdiag_residual._mpf_ == \
@@ -203,8 +247,7 @@ class TestFixedPointEdges:
     def test_one_by_one_exact(self):
         with workprec(256):
             x = mpf(-3) / 7
-        res = sym_eigenvalues(real_matrix([[x]], symmetric=True), 256,
-                              self.TOL)
+        res = sym_eigenvalues(real_matrix([[x]], symmetric=True), 256)
         assert res.eigenvalues == (x,)
         assert res.sweeps == 0
 
@@ -213,7 +256,7 @@ class TestFixedPointEdges:
         small, big = mpf(2) ** -3000, -3 * mpf(2) ** 2000
         A = real_matrix([[small, 0, 0], [0, 1, 0], [0, 0, big]],
                         symmetric=True)
-        res = sym_eigenvalues(A, 128, self.TOL)
+        res = sym_eigenvalues(A, 128)
         assert res.eigenvalues == (big, small, mpf(1))
         assert res.offdiag_residual == 0
 
@@ -221,21 +264,21 @@ class TestFixedPointEdges:
         # equal diagonals rotate by exactly 45 degrees: t = 1, no roundoff
         a, b = mpf(2) ** 5, mpf(2) ** -40
         res = sym_eigenvalues(real_matrix([[a, b], [b, a]], symmetric=True),
-                              128, self.TOL)
+                              128)
         with workprec(128):
             assert res.eigenvalues == (a - b, a + b)
         c, d = mpf(2) ** 300, mpf(2) ** 250
         A = real_matrix([[0, c, 0], [c, 0, 0], [0, 0, d]], symmetric=True)
-        res = sym_eigenvalues(A, 128, self.TOL)
+        res = sym_eigenvalues(A, 128)
         assert res.eigenvalues == (-c, d, c)
         ones = real_matrix([[1, 1], [1, 1]], symmetric=True)
-        assert sym_eigenvalues(ones, 128, self.TOL).eigenvalues == \
+        assert sym_eigenvalues(ones, 128).eigenvalues == \
             (mpf(0), mpf(2))
 
     def test_all_ones_zeros_exact(self):
         # rank one: five eigenvalues inside the kernel's rounding come back 0
         ones = real_matrix([[1] * 6] * 6, symmetric=True)
-        res = sym_eigenvalues(ones, 256, self.TOL)
+        res = sym_eigenvalues(ones, 256)
         assert res.eigenvalues == (mpf(0),) * 5 + (mpf(6),)
 
 
@@ -247,6 +290,20 @@ def _c9_matrix():
     return signed_hankel(stream, 1, 24).matrix
 
 
+def _check_level(A, prec):
+    """Each eigenvalue of one level within its final rounding to prec plus
+    the stated kernel bound n * 2^-(prec+40) * ||A||_F of mpmath's eigsy at
+    2*prec + 64 bits; returns eigsy's eigenvalues."""
+    res = sym_eigenvalues(A, prec)
+    oracle = eigsy_oracle(A.entries, prec)
+    with workprec(2 * prec + 64):
+        kernel = A.dim * frobenius_norm(A, 64) * mpf(2) ** -(prec + 40)
+        for e, o in zip(res.eigenvalues, oracle):
+            bound = abs(o) * mpf(2) ** -prec + kernel
+            assert abs(e - o) <= bound, (prec, e, o, bound)
+    return oracle
+
+
 class TestIndependentOracle:
     """The eigensolver against mpmath's eigsy at 2*prec + 64 bits."""
 
@@ -256,16 +313,8 @@ class TestIndependentOracle:
         with workprec(2 * res.precision_used + 64):
             for e, o in zip(res.eigenvalues, oracle):
                 assert abs(e - o) <= mpf(10) ** -digits * abs(o), (e, o)
-        # each level: absolute error at least 2^14 below the zero floor
-        fnorm = frobenius_norm(A, 64)
         for prec in (256, 512):
-            lvl = sym_eigenvalues(A, prec, mpf(2) ** -(prec - 8))
-            oracle = eigsy_oracle(A.entries, prec)
-            with workprec(2 * prec + 64):
-                bound = fnorm * mpf(2) ** -(prec - 2)
-                worst = max(abs(e - o)
-                            for e, o in zip(lvl.eigenvalues, oracle))
-                assert worst <= bound, (prec, worst, bound)
+            _check_level(A, prec)
 
     def test_c9_m24(self):
         self._check(_c9_matrix(), 77)
@@ -278,41 +327,18 @@ class TestIndependentOracle:
 
     @pytest.mark.parametrize("m", [64, 96])
     def test_zeta_star_converges_at_512_bits(self, m):
-        # sizes at which a Givens numerator rounded to F fraction bits
-        # leaves e_l stalled a little above the deflation threshold
         stream = generate(analytic_spec("zeta-star"), m, 256)
-        A = signed_hankel(stream, 1, m).matrix
-        prec = 512
-        res = sym_eigenvalues(A, prec, mpf(2) ** -(prec - 8))
-        oracle = eigsy_oracle(A.entries, prec)
-        with workprec(2 * prec + 64):
-            bound = frobenius_norm(A, 64) * mpf(2) ** -(prec - 2)
-            for e, o in zip(res.eigenvalues, oracle):
-                assert abs(e - o) <= bound, (e, o, bound)
+        _check_level(signed_hankel(stream, 1, m).matrix, 512)
 
 
 class TestClusteredEigenvalues:
-    """Each eigenvalue must be within its final rounding to prec plus the
-    stated kernel bound n * 2^-(prec+40) * ||A||_F of mpmath's eigsy at
-    2*prec + 64 bits, on matrices whose eigenvalues come in clusters."""
+    """``_check_level`` on matrices whose eigenvalues come in clusters."""
 
     @staticmethod
     def _wilkinson_plus(k):
         n = 2 * k + 1
         return [[mpf(abs(k - i)) if i == j else mpf(int(abs(i - j) == 1))
                  for j in range(n)] for i in range(n)]
-
-    @staticmethod
-    def _check(rows, prec):
-        A = real_matrix(rows, symmetric=True)
-        res = sym_eigenvalues(A, prec, mpf(2) ** -(prec + 40))
-        oracle = eigsy_oracle(A.entries, prec)
-        with workprec(2 * prec + 64):
-            kernel = A.dim * frobenius_norm(A, 64) * mpf(2) ** -(prec + 40)
-            for e, o in zip(res.eigenvalues, oracle):
-                bound = abs(o) * mpf(2) ** -prec + kernel
-                assert abs(e - o) <= bound, (e, o, bound)
-        return oracle
 
     @pytest.mark.parametrize("k", [20, 30])
     @pytest.mark.parametrize("prec", [256, 512])
@@ -326,7 +352,7 @@ class TestClusteredEigenvalues:
         with workprec(128):
             for i in range(len(rows)):
                 rows[i][i] -= top
-        oracle = self._check(rows, prec)
+        oracle = _check_level(real_matrix(rows, symmetric=True), prec)
         assert oracle[-1] - oracle[-2] < mpf(10) ** -30
 
     @pytest.mark.parametrize("blocks, coupling", [(2, -60), (3, -200)])
@@ -344,7 +370,7 @@ class TestClusteredEigenvalues:
                 rows[o + i][o:o + len(w)] = row
             if b:
                 rows[o - 1][o] = rows[o][o - 1] = mpf(2) ** coupling
-        self._check(rows, prec)
+        _check_level(real_matrix(rows, symmetric=True), prec)
 
 
 class TestQLStep:
@@ -388,8 +414,8 @@ class TestDeflation:
         levels = {}
         solve = mpnum.sym_eigenvalues
 
-        def recording(A, prec, tol, *args, **kwargs):
-            levels[prec] = res = solve(A, prec, tol, *args, **kwargs)
+        def recording(A, prec):
+            levels[prec] = res = solve(A, prec)
             return res
 
         monkeypatch.setattr(mpnum, "sym_eigenvalues", recording)
@@ -422,8 +448,8 @@ class TestAdaptiveSolve:
         with workprec(512):
             rows = [[mpf(1) / (i + j + 1) for j in range(8)] for i in range(8)]
         A = real_matrix(rows, symmetric=True)
-        res512 = sym_eigenvalues(A, 512, mpf(2) ** -440)
-        res1024 = sym_eigenvalues(A, 1024, mpf(2) ** -900)
+        res512 = sym_eigenvalues(A, 512)
+        res1024 = sym_eigenvalues(A, 1024)
         for a, b in zip(res512.eigenvalues, res1024.eigenvalues):
             assert rel_err(a, b, wp=1100) < mpf(10) ** -30
         res = adaptive_solve(A, 30)
@@ -498,7 +524,7 @@ class TestSpectralIdentities:
         prec = 256
         for n in (2, 3, 7, 12, 20, 32):
             A = rand_symmetric(n, rng, bits=prec)
-            res = sym_eigenvalues(A, prec, mpf(2) ** -200)
+            res = sym_eigenvalues(A, prec)
             wp = guard_prec(prec, n)
             with workprec(wp):
                 s1 = sum(res.eigenvalues, mpf(0))
@@ -519,8 +545,8 @@ class TestSpectralIdentities:
         rng.shuffle(perm)
         rows = [[A.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         B = real_matrix(rows, symmetric=True)
-        ra = sym_eigenvalues(A, 256, mpf(2) ** -200)
-        rb = sym_eigenvalues(B, 256, mpf(2) ** -200)
+        ra = sym_eigenvalues(A, 256)
+        rb = sym_eigenvalues(B, 256)
         for a, b in zip(ra.eigenvalues, rb.eigenvalues):
             assert rel_err(a, b) < mpf(10) ** -40
 

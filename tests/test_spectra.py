@@ -310,10 +310,10 @@ class TestIdentityLadder:
         state = mpnum._identity_state
         calls = []
 
-        def one_zero_once(eigs, det, fnorm, prec):
-            ok, zeros, floor = state(eigs, det, fnorm, prec)
+        def one_zero_once(eigs, det, floor, prec):
+            ok, zeros = state(eigs, det, floor, prec)
             calls.append(prec)
-            return (ok, 1, floor) if len(calls) == 1 else (ok, zeros, floor)
+            return (ok, 1) if len(calls) == 1 else (ok, zeros)
 
         bits = self._levels(monkeypatch)
         monkeypatch.setattr(mpnum, "_identity_state", one_zero_once)
@@ -417,10 +417,10 @@ class TestRecordStore:
         state = mpnum._identity_state
         checks = []
 
-        def one_zero_once(eigs, det, fnorm, prec):
-            ok, zeros, floor = state(eigs, det, fnorm, prec)
+        def one_zero_once(eigs, det, floor, prec):
+            ok, zeros = state(eigs, det, floor, prec)
             checks.append(prec)
-            return (ok, 1, floor) if len(checks) == 1 else (ok, zeros, floor)
+            return (ok, 1) if len(checks) == 1 else (ok, zeros)
 
         monkeypatch.setattr(mpnum, "_identity_state", one_zero_once)
         calls = self._solves(monkeypatch)
