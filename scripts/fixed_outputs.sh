@@ -53,6 +53,9 @@ run sweep --func geometric:1 --l 1 --m-max 6 --format json \
     --out sweep_geometric.json
 run spectrum --func exponential --l 2 --m 5 --format json \
     --out spectrum_exponential.json
+# 15 digits start the eigenvalue ladder at its 64-bit floor
+run spectrum --func exponential --l 1 --m 12 --digits 15 --format json \
+    --out spectrum_exponential_15.json
 # m=64 is the largest matrix of the set
 run spectrum --func zeta-star --l 1 --m 64 --digits 30 --format json \
     --out spectrum_zeta_star.json

@@ -301,14 +301,16 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
     pairs = []
     roots = []
     for rec in records:
-        ok, zeros = _identity_state(rec.eigenvalues, rec.det,
-                                    rec.zero_threshold, rec.precision_used)
+        ok, zeros, prod = _identity_state(rec.eigenvalues, rec.det,
+                                          rec.zero_threshold,
+                                          rec.precision_used)
         if not ok:
             raise IdentityError(
                 "l=%d m=%d: eigenvalue product and determinant disagree at "
                 "%d bits" % (rec.l, rec.m, rec.precision_used))
+        if zeros:
+            prod = mpf(0)
         with workprec(rec.precision_used + 32):
-            prod = mpf(0) if zeros else mp.fprod(rec.eigenvalues)
             root = +(abs(prod) ** (mpf(1) / rec.m))
         pairs.append((rec.m, prod))
         roots.append((rec.m, root))

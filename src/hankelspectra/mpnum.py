@@ -11,9 +11,12 @@ global mpmath context and safe to call concurrently from worker processes.
                          for real symmetric matrices,
 * ``accept_level``    -- the one acceptance rule: the product/determinant
                          identity and the zero-at-precision policy,
+* ``start_prec``      -- the first level of the ladder: the least power
+                         of two of bits that holds the target digits,
 * ``adaptive_solve``  -- the one precision ladder: ``sym_eigenvalues`` at
-                         doubling precisions until two consecutive levels
-                         agree and ``accept_level`` accepts the level.
+                         doubling precisions from ``start_prec`` until two
+                         consecutive levels agree and ``accept_level``
+                         accepts the level.
 
 Every matrix routine reads one exact integer form, ``RealMatrix.exact``,
 built once per matrix: each entry is an integer times one common power of
@@ -65,7 +68,6 @@ from mpmath.libmp import (
 
 _RND = round_nearest
 
-DEFAULT_START_PREC = 256
 DEFAULT_PREC_CAP = 8192
 DEFAULT_MAX_SWEEPS = 64
 IDENTITY_REL_EXP = -30   # determinant identities hold to 10^-30 relative
@@ -95,6 +97,20 @@ class PrecisionCapError(RuntimeError):
         super().__init__(message)
         self.last = last
         self.previous = previous
+
+
+def start_prec(target_digits: int, prec_cap: int) -> int:
+    """The first level of the precision ladder for ``target_digits``.
+
+    The smallest power of two of at least ceil(target_digits * log2(10))
+    bits, no more than the largest power of two of at most prec_cap / 2,
+    so that two levels fit under the cap, and no less than 64, the least
+    precision ``det_lu`` takes.  Every level of the ladder is this start
+    times a power of two.
+    """
+    bits = (10 ** target_digits).bit_length()   # ceil(digits * log2(10))
+    top = 1 << max(0, (prec_cap // 2).bit_length() - 1)
+    return max(64, min(1 << (bits - 1).bit_length(), top))
 
 
 def guard_prec(prec: int, dim: int) -> int:
@@ -505,20 +521,21 @@ def _agree(prev: EigenResult, cur: EigenResult, target_digits: int, wp: int) -> 
 def _identity_state(eigs, det, floor, prec):
     """Classify the product/determinant identity at the given precision.
 
-    Returns (ok, zero_at_precision_count) for the zero ``floor`` of the
-    level.  With no zeros-at-precision the check is a strict relative
-    comparison; otherwise both sides must vanish below the scale reachable
-    by a product containing a roundoff-level factor.
+    Returns (ok, zero_at_precision_count, product) for the zero ``floor``
+    of the level, the eigenvalue product taken at ``prec + 32`` bits.  With
+    no zeros-at-precision the check is a strict relative comparison;
+    otherwise both sides must vanish below the scale reachable by a product
+    containing a roundoff-level factor.
     """
     with workprec(prec + 32):
         zeros = sum(1 for mu in eigs if abs(mu) <= floor)
         prod = mp.fprod(eigs)
         if zeros == 0:
-            return _within_rel(prod, det, IDENTITY_REL_EXP), 0
+            return _within_rel(prod, det, IDENTITY_REL_EXP), 0, prod
         bound = mpf(2) ** (2 * len(eigs))
         for mu in eigs:
             bound = bound * max(abs(mu), floor)
-        return abs(det) <= bound and abs(prod) <= bound, zeros
+        return abs(det) <= bound and abs(prod) <= bound, zeros, prod
 
 
 def accept_level(A: RealMatrix, eigenvalues, prec: int,
@@ -538,7 +555,7 @@ def accept_level(A: RealMatrix, eigenvalues, prec: int,
     det = det_lu(A, prec)
     # exact: a 64-bit norm times a power of two
     floor = mp.ldexp(frobenius_norm(A, 64), ZERO_FLOOR_SLACK_BITS - prec)
-    ok, zeros = _identity_state(eigenvalues, det, floor, prec)
+    ok, zeros, _ = _identity_state(eigenvalues, det, floor, prec)
     if ok and (allow_zeros or not zeros):
         return det, floor, None
     if zeros and not allow_zeros:
@@ -555,9 +572,10 @@ def accept_level(A: RealMatrix, eigenvalues, prec: int,
 def adaptive_solve(A: RealMatrix, target_digits: int,
                    prec_cap: int = DEFAULT_PREC_CAP,
                    allow_zeros: bool = True) -> EigenResult:
-    """Eigenvalues by ``sym_eigenvalues`` at doubling precisions from 256 bits.
+    """Eigenvalues by ``sym_eigenvalues`` at doubling precisions.
 
-    A level agrees when it matches the previous one on every eigenvalue to
+    The ladder starts at ``start_prec(target_digits, prec_cap)``.  A level
+    agrees when it matches the previous one on every eigenvalue to
     ``target_digits`` relative digits (absolute for values below
     10^-target_digits); exactly diagonal input agrees at the first level,
     since its diagonal is the exact answer.  An agreeing level is judged by
@@ -574,7 +592,7 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
     n = A.dim
     prev = older = None
     reason = None
-    prec = DEFAULT_START_PREC
+    prec = start_prec(target_digits, prec_cap)
     while prec <= prec_cap:
         cur = _diagonal_result(A, prec) if prev is None else None
         agreed = cur is not None

@@ -49,17 +49,17 @@ from .coeffs import CacheCorruptionError, CoeffStream, _atomic_write, theta
 from .hankel import signed_hankel
 from .mpnum import (
     DEFAULT_PREC_CAP,
-    DEFAULT_START_PREC,
     ConvergenceError,
     IdentityError,
     PrecisionCapError,
     accept_level,
     adaptive_solve,
     make_mpf,
+    start_prec,
     to_decimal,
 )
 
-RECORD_FORMAT = 1   # part of every record key: another format never matches
+RECORD_FORMAT = 2   # part of every record key: another format never matches
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,8 @@ def _load_record(stream, l, m, target_digits, prec_cap, path):
     The determinant, zero floor and sign are computed again, never read.
     A file this program cannot have written (malformed JSON, an eigenvalue
     that is not a normalised binary value, a wrong count or order, a
-    precision off the ladder) raises ``CacheCorruptionError``.
+    precision off the ladder or below its start) raises
+    ``CacheCorruptionError``.
     """
     if not os.path.exists(path):
         return None
@@ -352,7 +353,8 @@ def _load_record(stream, l, m, target_digits, prec_cap, path):
             doc = json.load(fh)
         prec = doc["precision_used"]
         eigs = tuple(_raw_mpf(item) for item in doc["eigenvalues"])
-        levels = [DEFAULT_START_PREC << k for k in range(prec_cap.bit_length())]
+        start = start_prec(target_digits, prec_cap)
+        levels = [start << k for k in range(prec_cap.bit_length())]
         if type(prec) is not int or prec > prec_cap or prec not in levels:
             raise ValueError("precision %r is not a level of the ladder"
                              % (prec,))

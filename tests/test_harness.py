@@ -164,17 +164,17 @@ class TestEigenvalueProductRate:
 
     def test_zeros_at_precision_checked_by_zero_rule(self):
         # rational2:2,1 has rank-2 Hankel matrices: from m=3 on, a record
-        # is accepted with a zero-at-precision.  At m=3..5 the LU finds a
-        # pivot column zero at working precision (det 0); at m=6 a tiny
+        # is accepted with a zero-at-precision.  At m=3..6 the LU finds a
+        # pivot column zero at working precision (det 0); at m=7 a tiny
         # nonzero determinant remains, which a relative recheck cannot
         # compare
-        stream = generate(builtin_spec("rational2", 2, 1), 6, 256)
-        records = sweep(stream, 1, range(1, 7), 30).records
-        assert [r.m for r in records] == [1, 2, 3, 4, 5, 6]
-        assert records[5].zero_count == 1 and records[5].det != 0
-        rep = check_eigenvalue_product_rate(records[5:])
+        stream = generate(builtin_spec("rational2", 2, 1), 7, 256)
+        records = sweep(stream, 1, range(1, 8), 30).records
+        assert [r.m for r in records] == [1, 2, 3, 4, 5, 6, 7]
+        assert records[6].zero_count == 1 and records[6].det != 0
+        rep = check_eigenvalue_product_rate(records[6:])
         assert rep.verdict == INCONCLUSIVE
-        assert rep.series["product_mth_root"][0] == (6, 0)
+        assert rep.series["product_mth_root"][0] == (7, 0)
         rep = check_eigenvalue_product_rate(records[:3])
         assert rep.verdict == INCONCLUSIVE
         assert rep.series["product_mth_root"][2] == (3, 0)

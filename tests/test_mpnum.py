@@ -24,6 +24,7 @@ from hankelspectra import (
 )
 from hankelspectra import mpnum
 from hankelspectra.mpnum import (
+    DEFAULT_PREC_CAP,
     ConvergenceError,
     IdentityError,
     NonSymmetricError,
@@ -31,6 +32,7 @@ from hankelspectra.mpnum import (
     accept_level,
     guard_prec,
     make_mpf,
+    start_prec,
 )
 
 from conftest import (
@@ -420,7 +422,7 @@ class TestDeflation:
 
         monkeypatch.setattr(mpnum, "sym_eigenvalues", recording)
         adaptive_solve(A, 30)
-        assert sorted(levels) == [256, 512]
+        assert sorted(levels) == [128, 256]
         fnorm = frobenius_norm(A, 128)
         with workprec(128):
             for prec, res in levels.items():
@@ -429,19 +431,56 @@ class TestDeflation:
                     prec, res.offdiag_residual)
 
 
+class TestStartPrec:
+    """The ladder starts at the least power of two that holds the target
+    digits, at least 64 bits and with two levels under the cap."""
+
+    @pytest.mark.parametrize("digits, start", [
+        (10, 64), (20, 128), (30, 128), (77, 256), (78, 512), (200, 1024)])
+    def test_power_of_two_covering_the_digits(self, digits, start):
+        # 10 digits need 34 bits, below det_lu's 64; 77 need 255.8, 78 need
+        # 259.1
+        assert start_prec(digits, DEFAULT_PREC_CAP) == start
+        bits = math.ceil(digits * math.log2(10))
+        assert start == 64 or start // 2 < bits <= start
+
+    @pytest.mark.parametrize("digits, cap, start", [
+        (200, 2048, 1024), (200, 2047, 512), (200, 512, 256),
+        (78, 1024, 512), (78, 1000, 256), (77, 512, 256),
+        (30, 256, 128), (30, 128, 64), (30, 64, 64)])
+    def test_cap_leaves_two_levels(self, digits, cap, start):
+        assert start_prec(digits, cap) == start
+
+    @pytest.mark.parametrize("digits, levels", [
+        (10, [64, 128]), (30, [128, 256]), (78, [512, 1024])])
+    def test_ladder_climbs_from_the_start(self, monkeypatch, digits, levels):
+        A = real_matrix([[2, 1], [1, 3]], symmetric=True)
+        bits = []
+        solve = mpnum.sym_eigenvalues
+
+        def recording(A, prec):
+            bits.append(prec)
+            return solve(A, prec)
+
+        monkeypatch.setattr(mpnum, "sym_eigenvalues", recording)
+        assert adaptive_solve(A, digits).precision_used == levels[-1]
+        assert bits == levels
+
+
 class TestAdaptiveSolve:
+    # 20 digits (67 bits) start the ladder at 128 bits
     def test_diagonal_exact_at_first_precision(self):
-        with workprec(256):
+        with workprec(128):
             small = mpf(10) ** -30
         A = real_matrix([[1, 0], [0, small]], symmetric=True)
         res = adaptive_solve(A, 20)
-        assert res.precision_used == 256
+        assert res.precision_used == 128
         assert res.eigenvalues == (small, mpf(1))
 
     def test_zero_matrix_first_precision(self):
         A = real_matrix([[0, 0], [0, 0]], symmetric=True)
         res = adaptive_solve(A, 20)
-        assert res.precision_used == 256
+        assert res.precision_used == 128
         assert res.eigenvalues == (mpf(0), mpf(0))
 
     def test_hilbert8_agreement_vs_high_precision_oracle(self):

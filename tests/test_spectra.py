@@ -25,9 +25,14 @@ from hankelspectra import analytic_spec, signed_hankel
 from hankelspectra import mpnum
 from hankelspectra import spectra as spectra_mod
 from hankelspectra.coeffs import CacheCorruptionError
-from hankelspectra.mpnum import ConvergenceError, IdentityError
+from hankelspectra.mpnum import (
+    ConvergenceError,
+    IdentityError,
+    accept_level,
+    sym_eigenvalues,
+)
 
-from conftest import bisect_roots, char_poly
+from conftest import bisect_roots, char_poly, eigsy_oracle
 
 # frozen regression: placeholder stream, l=1, m=8, 30 requested digits
 ZETA_STAR_DET_L1_M8 = "4.15791193788324566747124970952e-5"
@@ -82,6 +87,42 @@ class TestComputeSpectrum:
             s = sum(rec.eigenvalues, mpf(0))
             tr = trace(A, rec.precision_used)
             assert abs(s - tr) <= mpf(10) ** -30 * max(abs(s), abs(tr), mpf(1))
+
+
+_ORACLE_SIZES = ([("exponential", m) for m in range(1, 34)]
+                 + [("catalan", m) for m in range(2, 41)]
+                 + [("zeta-star", m) for m in (8, 16, 32, 64)])
+
+
+@pytest.fixture(scope="module")
+def oracle_streams():
+    return {"exponential": generate(builtin_spec("exponential"), 33, 256),
+            "catalan": generate(builtin_spec("catalan"), 40, 256),
+            "zeta-star": generate(analytic_spec("zeta-star"), 64, 256)}
+
+
+class TestLadderStartOracle:
+    """30-digit records, whose ladder starts at 128 bits, against mpmath's
+    eigsy at 2*prec + 64 bits and against the zero count of a 512-bit
+    level."""
+
+    @pytest.mark.parametrize("name, m", _ORACLE_SIZES,
+                             ids=["%s-%d" % nm for nm in _ORACLE_SIZES])
+    def test_record_vs_oracles(self, oracle_streams, name, m):
+        stream = oracle_streams[name]
+        rec = compute_spectrum(stream, 1, m, 30)
+        A = signed_hankel(stream, 1, m).matrix
+        oracle = eigsy_oracle(A.entries, rec.precision_used)
+        with workprec(2 * rec.precision_used + 64):
+            # relative to 10^-30, absolute below it
+            tiny = mpf(10) ** -30
+            for mu, o in zip(rec.eigenvalues, oracle):
+                scale = max(abs(mu), abs(o))
+                bound = tiny * scale if scale > tiny else tiny
+                assert abs(mu - o) <= bound, (mu, o)
+        high = sym_eigenvalues(A, 512).eigenvalues
+        _, floor, _ = accept_level(A, high, 512)
+        assert rec.zero_count == sum(1 for mu in high if abs(mu) <= floor)
 
 
 class TestLogSpectrum:
@@ -209,7 +250,7 @@ class TestSweep:
 
     def test_failure_recorded_without_abort(self, zeta_star_stream):
         # a tiny precision cap fails larger m but leaves small m intact
-        res = sweep(zeta_star_stream, 1, range(1, 4), 30, prec_cap=256)
+        res = sweep(zeta_star_stream, 1, range(1, 4), 30, prec_cap=128)
         assert 1 not in res.failures
         assert res.failures, "expected at least one capped failure"
         assert [r.m for r in res.records] + sorted(res.failures) == [1, 2, 3]
@@ -298,9 +339,9 @@ class TestIdentityLadder:
         bits = self._levels(monkeypatch)
         monkeypatch.setattr(mpnum, "det_lu", wrong_once)
         rec = compute_spectrum(exp_stream, 1, 3, 30)
-        assert wrong == [512]
-        assert bits == [256, 512, 1024]
-        assert rec.precision_used == 1024
+        assert wrong == [256]
+        assert bits == [128, 256, 512]
+        assert rec.precision_used == 512
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_zero_at_precision_once(self, analytic, exp_stream,
@@ -311,15 +352,15 @@ class TestIdentityLadder:
         calls = []
 
         def one_zero_once(eigs, det, floor, prec):
-            ok, zeros = state(eigs, det, floor, prec)
+            ok, zeros, prod = state(eigs, det, floor, prec)
             calls.append(prec)
-            return (ok, 1) if len(calls) == 1 else (ok, zeros)
+            return (ok, 1, prod) if len(calls) == 1 else (ok, zeros, prod)
 
         bits = self._levels(monkeypatch)
         monkeypatch.setattr(mpnum, "_identity_state", one_zero_once)
         rec = compute_spectrum(zeta_star_stream if analytic else exp_stream,
                                1, 3, 30)
-        want = [256, 512, 1024] if analytic else [256, 512]
+        want = [128, 256, 512] if analytic else [128, 256]
         assert bits == want
         assert calls == want[1:]
         assert rec.precision_used == want[-1]
@@ -333,7 +374,7 @@ class TestIdentityLadder:
                            match="disagrees with the determinant at 1024 bits; "
                                  "precision cap 1024 reached"):
             compute_spectrum(exp_stream, 1, 3, 30, prec_cap=1024)
-        assert bits == [256, 512, 1024]
+        assert bits == [128, 256, 512, 1024]
 
 
 def _record_files(cache_dir):
@@ -387,6 +428,45 @@ class TestRecordStore:
         assert calls == [5, 2, 2, 2, 2]
         assert len(_record_files(cd)) == 9
 
+    def test_reload_at_256_bits_takes_one_det_lu(self, exp_stream, tmp_path,
+                                                 monkeypatch):
+        # 30 digits start the ladder at 128 bits, so exponential m=4 is
+        # accepted at 256, and its reload is judged by one det_lu there
+        cd = str(tmp_path)
+        first = sweep(exp_stream, 1, [4], 30, cache_dir=cd)
+        (path,) = _record_files(cd)
+        assert json.load(open(path))["precision_used"] == 256
+        calls = self._solves(monkeypatch)
+        kernels = []
+        for name in ("det_lu", "sym_eigenvalues"):
+            def counting(A, prec, fn=getattr(mpnum, name), name=name):
+                kernels.append((name, prec))
+                return fn(A, prec)
+            monkeypatch.setattr(mpnum, name, counting)
+        again = sweep(exp_stream, 1, [4], 30, cache_dir=cd)
+        assert calls == []
+        assert kernels == [("det_lu", 256)]
+        assert _csv(again.records) == _csv(first.records)
+
+    def test_format_1_key_misses(self, exp_stream, tmp_path, monkeypatch):
+        # a record stored under format 1 at 512 bits is on the 30-digit
+        # ladder 128, 256, 512, ... and would load; format 2 keys miss it
+        cd = str(tmp_path)
+        rec = compute_spectrum(exp_stream, 1, 4, 30)
+        high = sym_eigenvalues(signed_hankel(exp_stream, 1, 4).matrix, 512)
+        old = replace(rec, eigenvalues=high.eigenvalues, precision_used=512)
+        monkeypatch.setattr(spectra_mod, "RECORD_FORMAT", 1)
+        spectra_mod._store_record(old, spectra_mod._record_path(
+            exp_stream, 1, 4, 30, mpnum.DEFAULT_PREC_CAP, cd))
+        assert sweep(exp_stream, 1, [4], 30,
+                     cache_dir=cd).records[0].precision_used == 512
+        monkeypatch.setattr(spectra_mod, "RECORD_FORMAT", 2)
+        calls = self._solves(monkeypatch)
+        again = sweep(exp_stream, 1, [4], 30, cache_dir=cd)
+        assert calls == [4]
+        assert again.records[0].precision_used == 256
+        assert len(_record_files(cd)) == 2
+
     def test_altered_eigenvalue_recomputed(self, exp_stream, tmp_path,
                                            monkeypatch):
         cd = str(tmp_path)
@@ -418,9 +498,9 @@ class TestRecordStore:
         checks = []
 
         def one_zero_once(eigs, det, floor, prec):
-            ok, zeros = state(eigs, det, floor, prec)
+            ok, zeros, prod = state(eigs, det, floor, prec)
             checks.append(prec)
-            return (ok, 1) if len(checks) == 1 else (ok, zeros)
+            return (ok, 1, prod) if len(checks) == 1 else (ok, zeros, prod)
 
         monkeypatch.setattr(mpnum, "_identity_state", one_zero_once)
         calls = self._solves(monkeypatch)
@@ -433,13 +513,15 @@ class TestRecordStore:
         lambda text: json.dumps({"precision_used": 512}),
         lambda text: json.dumps({"precision_used": 500,
                                  "eigenvalues": json.loads(text)["eigenvalues"]}),
+        # 64 bits is a level of the ladder only below 20 digits
+        lambda text: json.dumps(dict(json.loads(text), precision_used=64)),
         lambda text: json.dumps(dict(json.loads(text), eigenvalues=[])),
         lambda text: json.dumps(dict(json.loads(text), eigenvalues=[
             [0, "2", 0, 2]] + json.loads(text)["eigenvalues"][1:])),
         lambda text: json.dumps(dict(json.loads(text), eigenvalues=
                                      json.loads(text)["eigenvalues"][::-1])),
-    ], ids=["truncated", "no-eigenvalues", "off-ladder", "count",
-            "not-normalised", "order"])
+    ], ids=["truncated", "no-eigenvalues", "off-ladder", "below-start",
+            "count", "not-normalised", "order"])
     def test_unreadable_record_raises(self, damage, exp_stream, tmp_path):
         cd = str(tmp_path)
         sweep(exp_stream, 1, [3], 30, cache_dir=cd)
