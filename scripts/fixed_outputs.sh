@@ -4,7 +4,8 @@
 #
 #   scripts/fixed_outputs.sh OUTDIR
 #
-# The set covers each writer of the program: sweep CSV and JSON, spectrum,
+# The set covers each writer of the program: sweep CSV and JSON, spectrum
+# (one record that climbs past a zero-at-precision, one exactly singular),
 # dist, every check id (v2 and v6 with the reference-rate file wl.json that
 # the script writes into OUTDIR, and v6 without it), both SVG figures, every
 # manifest, the coefficient cache and the record store, which a repeated
@@ -79,3 +80,9 @@ done
 # store, so this output shows that a reloaded record writes the same bytes
 run check 2A --func zeta-star --l 1 --m-max 32 --out check_2A_again.json
 run check 2E --func zeta-star --l 1,2 --m-max 32 --out check_2E.json
+# exponential m=56 is nonsingular but has a zero-at-precision at 256 bits,
+# so it climbs to 512; 1/(1-z) at m=3 has nullity 1, a proved zero
+run spectrum --func exponential --l 1 --m 56 --format json \
+    --out spectrum_exponential_56.json
+run spectrum --func one-over-one-minus-z --l 1 --m 3 \
+    --out spectrum_singular.csv

@@ -10,7 +10,8 @@ global mpmath context and safe to call concurrently from worker processes.
 * ``sym_eigenvalues`` -- Householder tridiagonalisation plus root-free QL
                          for real symmetric matrices,
 * ``accept_level``    -- the one acceptance rule: the product/determinant
-                         identity and the zero-at-precision policy,
+                         identity, and zeros-at-precision only as many as
+                         the exact nullity,
 * ``start_prec``      -- the first level of the ladder: the least power
                          of two of bits that holds the target digits,
 * ``adaptive_solve``  -- the one precision ladder: ``sym_eigenvalues`` at
@@ -21,10 +22,10 @@ global mpmath context and safe to call concurrently from worker processes.
 Every matrix routine reads one exact integer form, ``RealMatrix.exact``,
 built once per matrix: each entry is an integer times one common power of
 two.  ``trace`` and ``frobenius_norm`` sum it exactly and round once to
-the requested precision, and ``_exactly_singular`` runs fraction-free
-elimination on it.  ``det_lu`` and the eigensolver round it to one
-fixed-point form (``_scaled_rows``): one power of two scales the matrix to
-norm at most 1, and every entry becomes an integer with
+the requested precision, and ``_nullity`` eliminates on it exactly.
+``det_lu`` and the eigensolver round it to one fixed-point form
+(``_scaled_rows``): one power of two scales the matrix to norm at most 1,
+and every entry becomes an integer with
 ``prec + 32 + 2*ceil(log2(m))`` guard bits plus 16 more as fraction bits;
 for ``det_lu`` the fraction bits also span the exponent range of the
 entries, so LU on a graded matrix keeps each pivot accurate relative to
@@ -220,8 +221,8 @@ def det_lu(A: RealMatrix, prec: int) -> mpf:
     running product cut back to 2F bits, the cut bits into an exponent;
     the product times the permutation sign is rounded to ``prec`` once.
     A pivot column that is zero at scale F returns exact 0, which here
-    means zero at working precision; only ``_exactly_singular`` decides
-    whether the matrix is exactly singular.
+    means zero at working precision; only ``_nullity`` decides whether
+    the matrix is exactly singular.
     """
     n = A.dim
     if n < 1:
@@ -286,27 +287,37 @@ def _scaled_rows(A: RealMatrix, prec: int, upper: bool = False,
                   for i, row in enumerate(rows)]
 
 
-def _exactly_singular(A: RealMatrix) -> bool:
-    """True when det(A) is exactly 0, decided by fraction-free elimination.
+def _nullity(A: RealMatrix) -> int:
+    """The exact dimension of the null space of ``A``.
 
-    Bareiss elimination on the integers of ``A.exact`` finds a zero pivot
-    column exactly.
+    Elimination on the integers of ``A.exact`` modulo the prime 2^61 - 1
+    comes first: a minor nonzero mod p is nonzero, so full rank mod p
+    proves nullity 0.  Only below full rank does Bareiss fraction-free
+    elimination, each update divided exactly by the previous pivot, find
+    the exact rank.  Both skip a column with no pivot left.
     """
-    a = [list(row) for row in A.exact[1]]
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return True
-        a[k], a[piv] = a[piv], a[k]
-        ak, akk = a[k], a[k][k]
-        for i in range(k + 1, n):
-            ai, aik = a[i], a[i][k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
-        prev = akk
-    return False
+    p = (1 << 61) - 1
+    rows = A.exact[1]
+    n = len(rows)
+    # mod p a row times a nonzero pivot keeps the rank, so no division
+    for a, cut in (([[v % p for v in row] for row in rows],
+                    lambda v, prev: v % p),
+                   ([list(row) for row in rows], lambda v, prev: v // prev)):
+        rank, prev = 0, 1
+        for k in range(n):
+            piv = next((i for i in range(rank, n) if a[i][k]), None)
+            if piv is None:
+                continue
+            a[rank], a[piv] = a[piv], a[rank]
+            ar, ark = a[rank], a[rank][k]
+            for ai in a[rank + 1:]:
+                aik = ai[k]
+                ai[k + 1:] = [cut(v * ark - aik * w, prev)
+                              for v, w in zip(ai[k + 1:], ar[k + 1:])]
+            rank, prev = rank + 1, ark
+        if rank == n:
+            break
+    return n - rank
 
 
 @dataclass(frozen=True)
@@ -538,40 +549,33 @@ def _identity_state(eigs, det, floor, prec):
         return abs(det) <= bound and abs(prod) <= bound, zeros, prod
 
 
-def accept_level(A: RealMatrix, eigenvalues, prec: int,
-                 allow_zeros: bool = True):
+def accept_level(A: RealMatrix, eigenvalues, prec: int):
     """The acceptance rule of one precision level of ``A``'s eigenvalues.
 
     Computes ``det_lu`` at ``prec`` and the zero floor of that level.  The
-    level is accepted when the product/determinant identity holds and,
-    unless ``allow_zeros``, no eigenvalue is a zero-at-precision.  Returns
+    level is accepted when the product/determinant identity holds and the
+    number of zeros-at-precision, if any, equals the exact nullity of
+    ``A`` (``_nullity``), so every zero it reports is proved.  Returns
     (det, zero floor, reason), with reason None on acceptance and naming
-    the failure otherwise.  With ``allow_zeros`` false, an exactly 0
-    determinant of an exactly singular matrix raises ``IdentityError``,
-    since no precision resolves its zero eigenvalue.  ``adaptive_solve``
-    judges each agreeing level by this rule, and a stored record is judged
-    by it again when it is loaded.
+    the failure otherwise.  ``adaptive_solve`` judges each agreeing level
+    by this rule, and a stored record is judged by it again when it is
+    loaded.
     """
     det = det_lu(A, prec)
     # exact: a 64-bit norm times a power of two
     floor = mp.ldexp(frobenius_norm(A, 64), ZERO_FLOOR_SLACK_BITS - prec)
     ok, zeros, _ = _identity_state(eigenvalues, det, floor, prec)
-    if ok and (allow_zeros or not zeros):
-        return det, floor, None
-    if zeros and not allow_zeros:
-        if det == 0 and _exactly_singular(A):
-            raise IdentityError(
-                "the matrix is exactly singular, so a zero eigenvalue "
-                "cannot be resolved at any precision")
+    if zeros and zeros != _nullity(A):
         return det, floor, ("%d eigenvalue(s) not resolvable above the "
                             "roundoff floor at %d bits" % (zeros, prec))
-    return det, floor, ("eigenvalue product disagrees with the determinant "
-                        "at %d bits" % prec)
+    if not ok:
+        return det, floor, ("eigenvalue product disagrees with the "
+                            "determinant at %d bits" % prec)
+    return det, floor, None
 
 
 def adaptive_solve(A: RealMatrix, target_digits: int,
-                   prec_cap: int = DEFAULT_PREC_CAP,
-                   allow_zeros: bool = True) -> EigenResult:
+                   prec_cap: int = DEFAULT_PREC_CAP) -> EigenResult:
     """Eigenvalues by ``sym_eigenvalues`` at doubling precisions.
 
     The ladder starts at ``start_prec(target_digits, prec_cap)``.  A level
@@ -579,11 +583,9 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
     ``target_digits`` relative digits (absolute for values below
     10^-target_digits); exactly diagonal input agrees at the first level,
     since its diagonal is the exact answer.  An agreeing level is judged by
-    ``accept_level``; a rejected one continues the ladder from that level,
-    and an exactly singular matrix with ``allow_zeros`` false raises
-    ``IdentityError`` at once.  At the cap, ``IdentityError`` names the
-    last failed acceptance if any level agreed, else ``PrecisionCapError``
-    carries the last two levels.
+    ``accept_level``; a rejected one continues the ladder from that level.
+    At the cap, ``IdentityError`` names the last failed acceptance if any
+    level agreed, else ``PrecisionCapError`` carries the last two levels.
     """
     if not A.symmetric:
         raise NonSymmetricError("adaptive_solve requires the symmetric flag")
@@ -601,8 +603,7 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
             agreed = prev is not None and _agree(prev, cur, target_digits,
                                                  guard_prec(prec, n))
         if agreed:
-            det, floor, reason = accept_level(A, cur.eigenvalues, prec,
-                                              allow_zeros)
+            det, floor, reason = accept_level(A, cur.eigenvalues, prec)
             if reason is None:
                 return replace(cur, det=det, zero_floor=floor)
         older, prev = prev, cur

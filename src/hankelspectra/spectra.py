@@ -8,14 +8,11 @@ only when two consecutive levels agree and the product identity
 
 holds to 10^-30 relative.  Eigenvalues whose magnitude falls below the
 roundoff floor ||A||_F * 2^-(prec-16) cannot be certified nonzero at the
-working precision; they are treated as zeros-at-precision.  For builtin
-coefficient families (which legitimately produce rank-deficient matrices
-and hence exact zeros) such records are accepted once the determinant
-vanishes at the same scale.  For analytic streams a zero-at-precision
-instead continues the same ladder until every eigenvalue is resolved, since
-those spectra are expected to be nonzero and silently dropping points would
-distort every downstream distribution; an exactly singular analytic matrix
-fails at once, since no precision can resolve its zero eigenvalue.
+working precision; they are treated as zeros-at-precision.  For every
+stream, a level with zeros-at-precision is accepted only when their count
+equals the exact nullity of the matrix, so a reported zero is a proved
+one; otherwise the same ladder continues until the small eigenvalues
+resolve.
 
 With a cache directory, ``sweep`` stores each record it computes under
 ``<cache_dir>/records``, keyed by everything the record depends on down to
@@ -111,17 +108,11 @@ class SweepResult:
     failures: dict
 
 
-def _allow_zeros(stream: CoeffStream) -> bool:
-    # builtin families have rank-deficient matrices; analytic spectra do not
-    return stream.spec.kind != "analytic"
-
-
 def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
                      prec_cap: int = DEFAULT_PREC_CAP) -> SpectrumRecord:
     """Eigenvalues of the (l, m) signed Hankel matrix, identity-validated."""
     sh = signed_hankel(stream, l, m)
-    res = adaptive_solve(sh.matrix, target_digits, prec_cap=prec_cap,
-                         allow_zeros=_allow_zeros(stream))
+    res = adaptive_solve(sh.matrix, target_digits, prec_cap=prec_cap)
     return SpectrumRecord(
         l=l, m=m, function_id=stream.spec.name, eigenvalues=res.eigenvalues,
         precision_used=res.precision_used, target_digits=target_digits,
@@ -365,8 +356,7 @@ def _load_record(stream, l, m, target_digits, prec_cap, path):
         # KeyError, or a TypeError or ValueError from indexing or unpacking
         raise CacheCorruptionError("unreadable record %s: %s" % (path, exc))
     sh = signed_hankel(stream, l, m)
-    det, floor, reason = accept_level(sh.matrix, eigs, prec,
-                                      _allow_zeros(stream))
+    det, floor, reason = accept_level(sh.matrix, eigs, prec)
     if reason is not None:
         return None
     return SpectrumRecord(

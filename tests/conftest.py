@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own LU / eigensolver
-code paths: determinants come from exact-rational cofactor expansion or
-Gaussian elimination over Fractions, and eigenvalue references come from
+code paths: determinants and ranks come from exact-rational cofactor
+expansion or Gaussian elimination over Fractions, and eigenvalue references come from
 exact characteristic polynomials (Faddeev-LeVerrier over Fractions) whose
 real roots are isolated by plain sign-change bisection at high precision,
 or from mpmath's own symmetric eigensolver (Householder tridiagonalisation
@@ -102,6 +102,28 @@ def gauss_det(rows):
                 a[i][k + 1:] = [x - f * y
                                 for x, y in zip(a[i][k + 1:], prow[k + 1:])]
     return det
+
+
+def fraction_rank(rows):
+    """Exact rank by Gaussian elimination over Fractions.
+
+    Entries may be ints, Fractions or mpfs, each read exactly; a column
+    with no pivot left is skipped.
+    """
+    a = [[exact_fraction(x) for x in row] for row in rows]
+    rank = 0
+    for k in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][k]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        prow = a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][k] / prow[k]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], prow)]
+        rank += 1
+    return rank
 
 
 def char_poly(rows):

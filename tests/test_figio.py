@@ -271,11 +271,17 @@ class TestCli:
         assert doc["check"] == "2E"
 
     def test_spectrum_failure_names_cause(self, capsys, tmp_path):
+        # an exactly singular matrix is no failure: its zero is proved
         rc = cli(["spectrum", "--func", "one-over-one-minus-z", "--l", "1",
-                  "--m", "2", "--cache-dir", str(tmp_path)])
+                  "--m", "2", "--format", "json",
+                  "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["zero_count"] == 1
+        rc = cli(["spectrum", "--func", "exponential", "--l", "1", "--m",
+                  "12", "--prec-cap", "128", "--cache-dir", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "error" in err and "exactly singular" in err
+        assert "error" in err and "128-bit precision cap" in err
 
     def test_dist_csv(self, capsys):
         rc = cli(["dist", "--func", "exponential", "--l", "1", "--m", "3"])

@@ -26,7 +26,6 @@ from hankelspectra import mpnum
 from hankelspectra.mpnum import (
     DEFAULT_PREC_CAP,
     ConvergenceError,
-    IdentityError,
     NonSymmetricError,
     PrecisionCapError,
     accept_level,
@@ -41,6 +40,7 @@ from conftest import (
     cofactor_det,
     eigsy_oracle,
     exact_fraction,
+    fraction_rank,
     gauss_det,
     rand_symmetric,
     round_bits,
@@ -520,13 +520,12 @@ def _hilbert8():
 class TestAcceptLevel:
     """The one acceptance rule, as a stored record meets it on reload."""
 
-    @pytest.mark.parametrize("case, digits, allow_zeros", [
-        ("hilbert8", 30, False), ("c9_m24", 77, True), ("exp_m20", 30, True),
-        ("geometric_m4", 30, True), ("zeta_m16", 30, False),
+    @pytest.mark.parametrize("case, digits", [
+        ("hilbert8", 30), ("c9_m24", 77), ("exp_m20", 30),
+        ("geometric_m4", 30), ("zeta_m16", 30),
     ])
     def test_accepts_what_adaptive_solve_accepts(self, case, digits,
-                                                 allow_zeros, exp_stream,
-                                                 geo1_stream,
+                                                 exp_stream, geo1_stream,
                                                  zeta_star_stream):
         A = {"hilbert8": _hilbert8,
              "c9_m24": _c9_matrix,
@@ -534,9 +533,9 @@ class TestAcceptLevel:
              "geometric_m4": lambda: signed_hankel(geo1_stream, 1, 4).matrix,
              "zeta_m16": lambda: signed_hankel(zeta_star_stream, 1,
                                                16).matrix}[case]()
-        res = adaptive_solve(A, digits, allow_zeros=allow_zeros)
+        res = adaptive_solve(A, digits)
         det, floor, reason = accept_level(A, res.eigenvalues,
-                                          res.precision_used, allow_zeros)
+                                          res.precision_used)
         assert reason is None
         assert det._mpf_ == res.det._mpf_
         assert floor._mpf_ == res.zero_floor._mpf_
@@ -549,13 +548,61 @@ class TestAcceptLevel:
         _, _, reason = accept_level(A, doubled, prec)
         assert reason == ("eigenvalue product disagrees with the determinant "
                           "at %d bits" % prec)
-        # a rank-one matrix: its zeros are accepted only where allowed
+        # a zero that the exact nullity (0) does not prove
+        zeroed = (mpf(0),) + res.eigenvalues[1:]
+        _, _, reason = accept_level(A, zeroed, prec)
+        assert reason == ("1 eigenvalue(s) not resolvable above the roundoff "
+                          "floor at %d bits" % prec)
+        # a matrix of nullity 1: its one zero is proved and accepted
         A = signed_hankel(geo1_stream, 1, 3).matrix
         res = adaptive_solve(A, 30)
-        assert accept_level(A, res.eigenvalues, res.precision_used)[2] is None
-        with pytest.raises(IdentityError, match="exactly singular"):
-            accept_level(A, res.eigenvalues, res.precision_used,
-                         allow_zeros=False)
+        _, floor, reason = accept_level(A, res.eigenvalues,
+                                        res.precision_used)
+        assert reason is None
+        assert sum(1 for mu in res.eigenvalues if abs(mu) <= floor) == 1
+
+
+class TestNullity:
+    """``_nullity`` against the exact rank of Gaussian elimination over
+    Fractions."""
+
+    @staticmethod
+    def _set_rank(n, r, rng):
+        # a sum of r outer products v v^T of small integer vectors
+        rows = [[0] * n for _ in range(n)]
+        for _ in range(r):
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] += v[i] * v[j]
+        return rows
+
+    def test_small_integer_matrices_of_set_rank(self, rng):
+        for n in (1, 2, 3, 5, 8, 12):
+            for r in range(n + 1):
+                rows = self._set_rank(n, r, rng)
+                want = n - fraction_rank(rows)
+                assert mpnum._nullity(real_matrix(rows)) == want, (n, r)
+                # dyadic entries: the exact form's power of two is a unit
+                scaled = [[mp.ldexp(v, -70) for v in row] for row in rows]
+                assert mpnum._nullity(real_matrix(scaled)) == want, (n, r)
+
+    def test_zero_columns_skipped(self):
+        rows = [[0, 0, 1, 2], [0, 0, 2, 4], [1, 2, 0, 0], [2, 4, 0, 1]]
+        assert fraction_rank(rows) == 3
+        assert mpnum._nullity(real_matrix(rows)) == 1
+
+    @pytest.mark.parametrize("rows", [
+        [[2 ** 61 - 1, 0], [0, 1]],
+        [[2 ** 61 - 1, 2 ** 61 - 1], [2 ** 61 - 1, 2 * (2 ** 61 - 1)]],
+    ], ids=["diag", "all-multiples-of-p"])
+    def test_singular_mod_p_but_nonsingular(self, rows):
+        # full rank over Q, below full rank mod 2^61 - 1: Bareiss decides
+        with workprec(64):
+            A = real_matrix(rows)
+        assert [[exact_fraction(x) for x in row] for row in A.entries] == rows
+        assert fraction_rank(rows) == 2
+        assert mpnum._nullity(A) == 0
 
 
 class TestSpectralIdentities:

@@ -89,14 +89,18 @@ class TestComputeSpectrum:
             assert abs(s - tr) <= mpf(10) ** -30 * max(abs(s), abs(tr), mpf(1))
 
 
+# at 256 bits these two levels have a zero-at-precision that the exact
+# nullity (0) does not prove, so their records must resolve it
+_RELATIVE_SIZES = [("exponential", 56), ("exponential", 64)]
 _ORACLE_SIZES = ([("exponential", m) for m in range(1, 34)]
                  + [("catalan", m) for m in range(2, 41)]
-                 + [("zeta-star", m) for m in (8, 16, 32, 64)])
+                 + [("zeta-star", m) for m in (8, 16, 32, 64)]
+                 + _RELATIVE_SIZES)
 
 
 @pytest.fixture(scope="module")
 def oracle_streams():
-    return {"exponential": generate(builtin_spec("exponential"), 33, 256),
+    return {"exponential": generate(builtin_spec("exponential"), 64, 256),
             "catalan": generate(builtin_spec("catalan"), 40, 256),
             "zeta-star": generate(analytic_spec("zeta-star"), 64, 256)}
 
@@ -104,7 +108,8 @@ def oracle_streams():
 class TestLadderStartOracle:
     """30-digit records, whose ladder starts at 128 bits, against mpmath's
     eigsy at 2*prec + 64 bits and against the zero count of a 512-bit
-    level."""
+    level; the records of ``_RELATIVE_SIZES`` have no zero and agree to
+    10^-30 relative on every eigenvalue."""
 
     @pytest.mark.parametrize("name, m", _ORACLE_SIZES,
                              ids=["%s-%d" % nm for nm in _ORACLE_SIZES])
@@ -113,12 +118,15 @@ class TestLadderStartOracle:
         rec = compute_spectrum(stream, 1, m, 30)
         A = signed_hankel(stream, 1, m).matrix
         oracle = eigsy_oracle(A.entries, rec.precision_used)
+        relative = (name, m) in _RELATIVE_SIZES
+        if relative:
+            assert rec.zero_count == 0
         with workprec(2 * rec.precision_used + 64):
-            # relative to 10^-30, absolute below it
+            # relative to 10^-30, absolute below it unless relative
             tiny = mpf(10) ** -30
             for mu, o in zip(rec.eigenvalues, oracle):
                 scale = max(abs(mu), abs(o))
-                bound = tiny * scale if scale > tiny else tiny
+                bound = tiny * scale if relative or scale > tiny else tiny
                 assert abs(mu - o) <= bound, (mu, o)
         high = sym_eigenvalues(A, 512).eigenvalues
         _, floor, _ = accept_level(A, high, 512)
@@ -270,10 +278,11 @@ class TestSweep:
         assert list(res.failures) == [3]
         assert res.failures[3].startswith("ConvergenceError")
 
-    def test_exactly_singular_analytic_fails_at_once(self, tmp_path,
-                                                     monkeypatch):
-        # 1/(1-z) has rank-one Hankel matrices: m >= 2 is exactly singular,
-        # so one solve decides it instead of a ladder up to the cap
+    def test_exactly_singular_analytic_accepted_at_once(self, tmp_path,
+                                                        monkeypatch):
+        # 1/(1-z) has Hankel matrices of nullity 1 for m >= 2: the exact
+        # nullity proves the one zero at the first agreeing level, so one
+        # solve accepts the record instead of a ladder up to the cap
         stream = generate(analytic_spec("one-over-one-minus-z"), 3, 256,
                           cache_dir=str(tmp_path))
         solve = spectra_mod.adaptive_solve
@@ -286,10 +295,10 @@ class TestSweep:
         monkeypatch.setattr(spectra_mod, "adaptive_solve", counting)
         for m in (2, 3):
             calls.clear()
-            with pytest.raises(spectra_mod.IdentityError,
-                               match="exactly singular"):
-                compute_spectrum(stream, 1, m, 30)
+            rec = compute_spectrum(stream, 1, m, 30)
             assert calls == [m]
+            assert rec.precision_used == 256
+            assert rec.zero_count == 1
 
     def test_stream_coverage_validated(self, exp_stream):
         with pytest.raises(ValueError, match="index"):
@@ -346,8 +355,8 @@ class TestIdentityLadder:
     @pytest.mark.parametrize("analytic", [True, False])
     def test_zero_at_precision_once(self, analytic, exp_stream,
                                     zeta_star_stream, monkeypatch):
-        # analytic records continue the ladder past a zero-at-precision;
-        # builtin ones accept it
+        # records of every kind of stream continue the ladder past a
+        # zero-at-precision that the exact nullity (0) does not prove
         state = mpnum._identity_state
         calls = []
 
@@ -360,10 +369,9 @@ class TestIdentityLadder:
         monkeypatch.setattr(mpnum, "_identity_state", one_zero_once)
         rec = compute_spectrum(zeta_star_stream if analytic else exp_stream,
                                1, 3, 30)
-        want = [128, 256, 512] if analytic else [128, 256]
-        assert bits == want
-        assert calls == want[1:]
-        assert rec.precision_used == want[-1]
+        assert bits == [128, 256, 512]
+        assert calls == [256, 512]
+        assert rec.precision_used == 512
 
     def test_identity_failing_everywhere_names_cap(self, exp_stream,
                                                    monkeypatch):
@@ -490,7 +498,8 @@ class TestRecordStore:
                                       zeta_star_stream, tmp_path,
                                       monkeypatch):
         # the reload meets the rule of the ladder: a zero-at-precision
-        # rejects an analytic record, which is computed again
+        # that the exact nullity does not prove rejects the record, which
+        # is computed again
         stream = zeta_star_stream if analytic else exp_stream
         cd = str(tmp_path)
         first = sweep(stream, 1, [3], 30, cache_dir=cd)
@@ -505,8 +514,37 @@ class TestRecordStore:
         monkeypatch.setattr(mpnum, "_identity_state", one_zero_once)
         calls = self._solves(monkeypatch)
         again = sweep(stream, 1, [3], 30, cache_dir=cd)
-        assert calls == ([3] if analytic else [])
+        assert calls == [3]
         assert _csv(again.records) == _csv(first.records)
+
+    def test_false_zero_record_recomputed(self, oracle_streams, tmp_path,
+                                          monkeypatch):
+        # exponential m=56 was accepted at 256 bits with a zero-at-precision
+        # before zeros had to match the exact nullity; that stored record
+        # has the same key, fails the rule on load and is overwritten
+        stream = oracle_streams["exponential"]
+        cd = str(tmp_path)
+        A = signed_hankel(stream, 1, 56).matrix
+        low = sym_eigenvalues(A, 256).eigenvalues
+        _, floor, reason = accept_level(A, low, 256)
+        assert sum(1 for mu in low if abs(mu) <= floor) == 1
+        assert reason == ("1 eigenvalue(s) not resolvable above the "
+                          "roundoff floor at 256 bits")
+        path = spectra_mod._record_path(stream, 1, 56, 30,
+                                        mpnum.DEFAULT_PREC_CAP, cd)
+        old = SpectrumRecord(l=1, m=56, function_id=stream.spec.name,
+                             eigenvalues=low, precision_used=256,
+                             target_digits=30, det=mpf(0),
+                             zero_threshold=floor, sign=1)
+        spectra_mod._store_record(old, path)
+        calls = self._solves(monkeypatch)
+        res = sweep(stream, 1, [56], 30, cache_dir=cd)
+        assert calls == [56]
+        (rec,) = res.records
+        assert rec.precision_used == 512
+        assert rec.zero_count == 0
+        assert _record_files(cd) == [path]
+        assert json.load(open(path))["precision_used"] == 512
 
     @pytest.mark.parametrize("damage", [
         lambda text: text[: len(text) // 2],
