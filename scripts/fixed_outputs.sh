@@ -7,7 +7,7 @@
 # The set covers each writer of the program: sweep CSV and JSON, spectrum
 # (one record that climbs past a zero-at-precision, one exactly singular),
 # dist, every check id (v2 and v6 with the reference-rate file wl.json that
-# the script writes into OUTDIR, and v6 without it), both SVG figures, every
+# the script writes into OUTDIR, and both without it), both SVG figures, every
 # manifest, the coefficient cache and the record store, which a repeated
 # check reads back.  Commands run inside OUTDIR with relative paths, and
 # their exit codes, stdout and stderr go to OUTDIR/log.txt, so two runs of
@@ -86,3 +86,6 @@ run spectrum --func exponential --l 1 --m 56 --format json \
     --out spectrum_exponential_56.json
 run spectrum --func one-over-one-minus-z --l 1 --m 3 \
     --out spectrum_singular.csv
+# without a reference rate v2 reports UNAVAILABLE before any stream exists
+run check v2 --func exponential --l 1 --m-max 16 \
+    --out check_v2_unavailable.json

@@ -641,10 +641,13 @@ class CoeffStream:
     """Coefficients 0..max_index of one spec at one binary precision."""
 
     spec: FunctionSpec
-    max_index: int
     values: tuple
     precision_bits: int
     provenance: str = ""
+
+    @property
+    def max_index(self) -> int:
+        return len(self.values) - 1
 
 
 def theta(stream: CoeffStream, k: int) -> mpf:
@@ -808,7 +811,7 @@ def _analytic_values(spec: FunctionSpec, N: int, prec: int):
 def _prefix(stream: CoeffStream, N: int) -> CoeffStream:
     if stream.max_index == N:
         return stream
-    return replace(stream, max_index=N, values=stream.values[: N + 1])
+    return replace(stream, values=stream.values[: N + 1])
 
 
 def generate(spec: FunctionSpec, N: int, prec: int,
@@ -842,8 +845,8 @@ def generate(spec: FunctionSpec, N: int, prec: int,
                 "two working precisions" % base)
     else:
         raise UnknownGeneratorError("unknown spec kind %r" % spec.kind)
-    stream = CoeffStream(spec=spec, max_index=len(values) - 1, values=values,
-                         precision_bits=prec, provenance=prov)
+    stream = CoeffStream(spec=spec, values=values, precision_bits=prec,
+                         provenance=prov)
     if cache_dir:
         _cache_store(stream, cache_dir)
     return _prefix(stream, N)
@@ -935,7 +938,6 @@ def _cache_load(spec: FunctionSpec, prec: int, cache_dir: str):
     if not values:
         return None
     return CoeffStream(
-        spec=spec, max_index=len(values) - 1, values=tuple(values),
-        precision_bits=prec,
+        spec=spec, values=tuple(values), precision_bits=prec,
         provenance=manifest.get("provenance", "") + " [cache]",
     )

@@ -49,7 +49,8 @@ class TailSums:
 def step_distribution(points, m: int, precision_bits: int = 256) -> StepDistribution:
     if m < 1:
         raise ValueError("m must be >= 1")
-    jumps = tuple(sorted(mpf(x) if not isinstance(x, mpf) else x for x in points))
+    jumps = tuple(sorted(x if isinstance(x, mpf) else
+                         mpf(x, prec=precision_bits) for x in points))
     if len(jumps) > m:
         raise ValueError("more jump points than total weight 1 allows")
     return StepDistribution(jumps=jumps, m=m, precision_bits=precision_bits)
@@ -66,9 +67,10 @@ def from_log_spectrum(ls: LogSpectrum) -> StepDistribution:
 
 
 def evaluate(F: StepDistribution, x) -> Fraction:
-    """F(x): fraction of weighted points <= x, an exact rational."""
+    """F(x): fraction of weighted points <= x, an exact rational; an ``x``
+    that is not an mpf is parsed at the precision of ``F``."""
     if not isinstance(x, mpf):
-        x = mpf(x)
+        x = mpf(x, prec=F.precision_bits)
     return Fraction(bisect_right(F.jumps, x), F.m)
 
 

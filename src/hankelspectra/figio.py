@@ -457,13 +457,7 @@ def _cmd_check(args, spec):
     W = constants.growth_rate(l) if constants else None
 
     if cid in ("v2", "v3"):
-        stream = _make_stream(args, spec, l, args.m_max)
-        bits = _digits_to_bits(args.digits)
-        dets = [(m, det_lu(signed_hankel(stream, l, m).matrix, bits))
-                for m in range(1, args.m_max + 1)]
-        report = (estimate_growth_rate(dets) if cid == "v3"
-                  else estimate_constant_factor(dets, W))
-        report = replace(report, check_id=cid, l=l)
+        grid = range(1, args.m_max + 1)
     else:
         floor = {"v5": 1, "2C": 4}.get(cid, 2)
         if args.m_max < floor:
@@ -478,10 +472,18 @@ def _cmd_check(args, spec):
                              "m-max/2, ...) no smaller than %d, but --m-max "
                              "%d gives %s"
                              % (cid, levels, floor, args.m_max, grid))
-        # without a reference rate v6 is UNAVAILABLE: its report needs
-        # only the grid, so no record is computed
-        unavailable = cid == "v6" and W is None
-        records = [] if unavailable else _records_for(args, spec, ls, grid)
+    if cid in ("v2", "v6") and W is None:
+        # no reference rate: UNAVAILABLE, decided before any stream exists
+        report = (estimate_constant_factor((), None) if cid == "v2"
+                  else check_mean_trend(dict.fromkeys(grid), None, l=l))
+    elif cid in ("v2", "v3"):
+        stream = _make_stream(args, spec, l, args.m_max)
+        dets = [(m, det_lu(signed_hankel(stream, l, m).matrix,
+                           stream.precision_bits)) for m in grid]
+        report = (estimate_growth_rate(dets) if cid == "v3"
+                  else estimate_constant_factor(dets, W))
+    else:
+        records = _records_for(args, spec, ls, grid)
         if cid == "v5":
             report = check_eigenvalue_product_rate(records)
         elif cid in ("2A", "2B"):
@@ -492,13 +494,13 @@ def _cmd_check(args, spec):
             report = check_distribution_coincidence(
                 {li: _dists_for(r for r in records if r.l == li) for li in ls})
         elif cid == "v6":
-            report = check_mean_trend(
-                dict.fromkeys(grid) if unavailable else _dists_for(records),
-                W, l=l)
+            report = check_mean_trend(_dists_for(records), W, l=l)
         elif cid == "2C":
             report = check_distribution_convergence(_dists_for(records), l=l)
         else:   # 2D
             report = check_tail_divergence(_dists_for(records), l=l)
+    if cid in ("v2", "v3"):
+        report = replace(report, check_id=cid, l=l)
 
     _write_text(args.out, _json_text(report.to_json()))
     print("check %s: %s" % (cid, report.verdict), file=sys.stderr)

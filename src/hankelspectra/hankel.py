@@ -10,21 +10,23 @@ with the scalar prefactor
 
     sign(m) = -(-1)^((m+1)(m+2)/2)
 
-recorded separately.  Reversing the columns of the unsigned core produces
-the Toeplitz matrix entry(i, j) = c[l + j - i]; since column reversal is a
-permutation of sign (-1)^(m(m-1)/2), the two determinants agree up to that
-sign, which ``det_relation_check`` verifies numerically.
+recorded separately.  ``coefficient_window`` gives the indices it reads,
+l-m+1 .. l+m-1, and raises ``StreamTooShortError`` for a shorter stream.
+Reversing the columns of the unsigned core produces the Toeplitz matrix
+entry(i, j) = c[l + j - i]; since column reversal is a permutation of sign
+(-1)^(m(m-1)/2), the two determinants agree up to that sign, which
+``det_relation_check`` verifies numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 from mpmath.libmp import mpf_neg
 
 from .coeffs import CoeffStream, theta
-from .mpnum import IDENTITY_REL_EXP, RealMatrix, _within_rel, det_lu, make_mpf
+from .mpnum import IDENTITY_REL_EXP, RealMatrix, _within_rel, det_lu
 
 
 class StreamTooShortError(ValueError):
@@ -45,21 +47,26 @@ def sign_prefactor(m: int) -> int:
     return 1 if exponent else -1
 
 
+def coefficient_window(stream: CoeffStream, l: int, m: int) -> range:
+    """The indices l-m+1 .. l+m-1 that the (l, m) matrix reads; raises
+    ``StreamTooShortError`` if ``stream`` ends before l+m-1."""
+    if stream.max_index < l + m - 1:
+        raise StreamTooShortError("stream ends at index %d but index %d is "
+                                  "required" % (stream.max_index, l + m - 1))
+    return range(l - m + 1, l + m)
+
+
 def _core_rows(stream, l, m, negate=False):
     """Rows of the (optionally negated) core: row i holds c[l+m-1-i-j]."""
     if l < 1 or m < 1:
         raise ValueError("l and m must be >= 1")
-    top = l + m - 1
-    if stream.max_index < top:
-        raise StreamTooShortError(
-            "stream ends at index %d but index %d is required"
-            % (stream.max_index, top)
-        )
-    # one mpf object per index so symmetric entries are bit-identical
-    coeff = {k: theta(stream, k) for k in range(l - m + 1, l + m)}
+    # one mpf object per index so symmetric entries are bit-identical;
+    # coeff[k] is c[l+m-1-k], so row i is coeff[i:i+m]
+    coeff = [theta(stream, k)
+             for k in reversed(coefficient_window(stream, l, m))]
     if negate:
-        coeff = {k: make_mpf(mpf_neg(v._mpf_)) for k, v in coeff.items()}
-    return tuple(tuple(coeff[top - i - j] for j in range(m)) for i in range(m))
+        coeff = [mp.make_mpf(mpf_neg(v._mpf_)) for v in coeff]
+    return tuple(tuple(coeff[i:i + m]) for i in range(m))
 
 
 def hankel_core(stream: CoeffStream, l: int, m: int) -> RealMatrix:

@@ -44,6 +44,7 @@ RATE_FLAT_EPS = 1e-9             # treat smaller y-increments as converged
 CONST_DRIFT_TOL = 0.01           # |ln step ratio| beyond this is geometric drift
 CONST_DISPERSION_TOL = 0.05      # relative tail dispersion for a stable constant
 DIVERGENCE_DELTA = 0.5           # min growth per dyadic checkpoint (2A/2B)
+MIN_DETERMINANTS = 4             # fewest d_m a rate or constant is fit to
 
 
 class ZeroDeterminantError(ValueError):
@@ -181,11 +182,11 @@ def _sign_notes(signs):
     return ["mixed determinant signs; magnitudes used"]
 
 
-def estimate_growth_rate(dets, min_entries: int = 4) -> TrendReport:
+def estimate_growth_rate(dets) -> TrendReport:
     """Extrapolate lim |d_m|^(1/m) from a (m, determinant) sequence."""
     dets = sorted(dets, key=lambda t: t[0])
-    if len(dets) < min_entries:
-        raise ValueError("need at least %d determinants" % min_entries)
+    if len(dets) < MIN_DETERMINANTS:
+        raise ValueError("need at least %d determinants" % MIN_DETERMINANTS)
     for m, d in dets:
         if d == 0:
             raise ZeroDeterminantError(m)
@@ -244,8 +245,8 @@ def estimate_constant_factor(dets, growth_rate) -> TrendReport:
     if not W > 0:
         raise ValueError("growth rate must be positive")
     dets = sorted(dets, key=lambda t: t[0])
-    if len(dets) < 4:
-        raise ValueError("need at least 4 determinants")
+    if len(dets) < MIN_DETERMINANTS:
+        raise ValueError("need at least %d determinants" % MIN_DETERMINANTS)
     for m, d in dets:
         if d == 0:
             raise ZeroDeterminantError(m)
@@ -314,7 +315,7 @@ def check_eigenvalue_product_rate(records) -> TrendReport:
             root = +(abs(prod) ** (mpf(1) / rec.m))
         pairs.append((rec.m, prod))
         roots.append((rec.m, root))
-    if len(pairs) < 4:
+    if len(pairs) < MIN_DETERMINANTS:
         thresholds, verdict, limit = {}, INCONCLUSIVE, roots[-1][1]
         notes = ("fewer than 4 records; identity verified, no trend",)
     else:
@@ -355,11 +356,11 @@ def check_mean_trend(dists_by_m, growth_rate, l=None) -> TrendReport:
     )
 
 
-def check_spectrum_divergence(log_spectra, delta=DIVERGENCE_DELTA):
+def check_spectrum_divergence(log_spectra):
     """Upper/lower divergence of log-spectra: max to +inf, min to -inf.
 
     Uses the last three dyadic checkpoints; each step must grow by at
-    least ``delta``.  Returns (upper_report, lower_report).
+    least ``DIVERGENCE_DELTA``.  Returns (upper_report, lower_report).
     """
     by_m = {ls.m: ls for ls in log_spectra}
     usable = {m: ls for m, ls in by_m.items() if ls.points}
@@ -372,19 +373,20 @@ def check_spectrum_divergence(log_spectra, delta=DIVERGENCE_DELTA):
     l = next(iter(usable.values())).l
     reports = []
     with workprec(wp):
-        ddelta = mpf(delta)
+        delta = mpf(DIVERGENCE_DELTA)
         for cid, name, end, sign in (("2A", "max_point", -1, 1),
                                      ("2B", "min_point", 0, -1)):
             points = [(m, usable[m].points[end]) for m in sorted(usable)]
             vals = [sign * usable[m].points[end] for m in chain]
-            steps = (_step(b - a >= ddelta, b - a <= -ddelta)
+            steps = (_step(b - a >= delta, b - a <= -delta)
                      for a, b in zip(vals, vals[1:]))
             verdict = (_combine(steps, any_contradicts=True)
                        if len(chain) >= 3 else INCONCLUSIVE)
             reports.append(TrendReport(
                 check_id=cid, l=l, m_grid=tuple(sorted(usable)),
                 series={name: tuple(points)}, estimator_id="dyadic-increment",
-                thresholds={"delta": delta}, verdict=verdict, notes=notes,
+                thresholds={"delta": DIVERGENCE_DELTA}, verdict=verdict,
+                notes=notes,
             ))
     return tuple(reports)
 

@@ -12,12 +12,12 @@ global mpmath context and safe to call concurrently from worker processes.
 * ``accept_level``    -- the one acceptance rule: the product/determinant
                          identity, and zeros-at-precision only as many as
                          the exact nullity,
-* ``start_prec``      -- the first level of the ladder: the least power
-                         of two of bits that holds the target digits,
-* ``adaptive_solve``  -- the one precision ladder: ``sym_eigenvalues`` at
-                         doubling precisions from ``start_prec`` until two
-                         consecutive levels agree and ``accept_level``
-                         accepts the level.
+* ``ladder``          -- the one precision ladder: the least power of two
+                         of bits that holds the target digits, doubled up
+                         to the cap,
+* ``adaptive_solve``  -- ``sym_eigenvalues`` at each level of ``ladder``
+                         until two consecutive levels agree and
+                         ``accept_level`` accepts the level.
 
 Every matrix routine reads one exact integer form, ``RealMatrix.exact``,
 built once per matrix: each entry is an integer times one common power of
@@ -100,18 +100,19 @@ class PrecisionCapError(RuntimeError):
         self.previous = previous
 
 
-def start_prec(target_digits: int, prec_cap: int) -> int:
-    """The first level of the precision ladder for ``target_digits``.
+def ladder(target_digits: int, prec_cap: int) -> list:
+    """The precision levels for ``target_digits``, ascending.
 
-    The smallest power of two of at least ceil(target_digits * log2(10))
-    bits, no more than the largest power of two of at most prec_cap / 2,
-    so that two levels fit under the cap, and no less than 64, the least
-    precision ``det_lu`` takes.  Every level of the ladder is this start
-    times a power of two.
+    The first is the smallest power of two of at least
+    ceil(target_digits * log2(10)) bits, no more than the largest power of
+    two of at most prec_cap / 2, so that two levels fit under the cap, and
+    no less than 64, the least precision ``det_lu`` takes.  Each next level
+    doubles it, up to ``prec_cap``.
     """
     bits = (10 ** target_digits).bit_length()   # ceil(digits * log2(10))
     top = 1 << max(0, (prec_cap // 2).bit_length() - 1)
-    return max(64, min(1 << (bits - 1).bit_length(), top))
+    start = max(64, min(1 << (bits - 1).bit_length(), top))
+    return [start << k for k in range((prec_cap // start).bit_length())]
 
 
 def guard_prec(prec: int, dim: int) -> int:
@@ -119,29 +120,22 @@ def guard_prec(prec: int, dim: int) -> int:
     return prec + 32 + 2 * max(1, math.ceil(math.log2(max(2, dim))))
 
 
-def make_mpf(raw) -> mpf:
-    return mp.make_mpf(raw)
-
-
 def to_decimal(x: mpf, bits: int) -> str:
     """Decimal string that parses back to *exactly* ``x`` at ``bits`` bits.
 
-    Digits are escalated until the round trip is bit-identical, so decimal
-    serialisation never loses information and repeated exports are
-    byte-identical.
+    int(bits * 0.30103) + 3 >= ceil(bits * log10(2)) + 2 digits suffice for
+    any value of ``bits`` bits, so decimal serialisation never loses
+    information and repeated exports are byte-identical.
     """
-    raw = x._mpf_
-    dps = int(bits * 0.30103) + 3
-    for _ in range(24):
-        s = to_str(raw, dps, strip_zeros=True, show_zero_exponent=False)
-        if from_str(s, bits, _RND) == raw:
-            return s
-        dps += 7
-    raise ValueError("no exact decimal representation found for %r" % (x,))
+    s = to_str(x._mpf_, int(bits * 0.30103) + 3, strip_zeros=True,
+               show_zero_exponent=False)
+    if from_str(s, bits, _RND) != x._mpf_:
+        raise ValueError("%r has no exact decimal form at %d bits" % (x, bits))
+    return s
 
 
 def from_decimal(s: str, bits: int) -> mpf:
-    return make_mpf(from_str(s, bits, _RND))
+    return mp.make_mpf(from_str(s, bits, _RND))
 
 
 @dataclass(frozen=True)
@@ -193,15 +187,15 @@ def real_matrix(rows, symmetric: bool = False) -> RealMatrix:
 def trace(A: RealMatrix, prec: int) -> mpf:
     """The exact sum of the diagonal, rounded once to ``prec``."""
     low, rows = A.exact
-    return make_mpf(from_man_exp(sum(row[i] for i, row in enumerate(rows)),
-                                 low, prec, _RND))
+    return mp.make_mpf(from_man_exp(sum(row[i] for i, row in enumerate(rows)),
+                                    low, prec, _RND))
 
 
 def frobenius_norm(A: RealMatrix, prec: int) -> mpf:
     """The square root of the exact sum of squares, rounded once."""
     low, rows = A.exact
     norm2 = from_man_exp(sum(v * v for row in rows for v in row), 2 * low)
-    return make_mpf(mpf_sqrt(norm2, prec, _RND))
+    return mp.make_mpf(mpf_sqrt(norm2, prec, _RND))
 
 
 def _within_rel(x: mpf, y: mpf, exp: int) -> bool:
@@ -236,7 +230,7 @@ def det_lu(A: RealMatrix, prec: int) -> mpf:
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         pivot = a[piv][col]
         if not pivot:
-            return make_mpf(fzero)
+            return mp.make_mpf(fzero)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             negative = not negative
@@ -254,7 +248,7 @@ def det_lu(A: RealMatrix, prec: int) -> mpf:
                 f = (arow[col] << F) // pivot
                 arow[col + 1:] = [v - (f * w >> F)
                                   for v, w in zip(arow[col + 1:], crow)]
-    return make_mpf(from_man_exp(-man if negative else man, exp, prec, _RND))
+    return mp.make_mpf(from_man_exp(-man if negative else man, exp, prec, _RND))
 
 
 def _scaled_rows(A: RealMatrix, prec: int, upper: bool = False,
@@ -336,10 +330,6 @@ class EigenResult:
     det: mpf | None = None
     zero_floor: mpf | None = None
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
 
 def _diagonal_result(A, prec):
     """The exact result for an exactly diagonal ``A``, else None."""
@@ -347,10 +337,10 @@ def _diagonal_result(A, prec):
     if any(v for i, row in enumerate(rows) for j, v in enumerate(row)
            if i != j):
         return None
-    eigs = sorted(make_mpf(from_man_exp(row[i], low, prec, _RND))
+    eigs = sorted(mp.make_mpf(from_man_exp(row[i], low, prec, _RND))
                   for i, row in enumerate(rows))
     return EigenResult(eigenvalues=tuple(eigs), precision_used=prec,
-                       offdiag_residual=make_mpf(fzero), sweeps=0)
+                       offdiag_residual=mp.make_mpf(fzero), sweeps=0)
 
 
 def _tridiagonalize(a, F):
@@ -489,7 +479,7 @@ def sym_eigenvalues(A: RealMatrix, prec: int) -> EigenResult:
     def residual():
         # off-diagonal Frobenius norm of the current tridiagonal matrix
         off2 = 2 * sum(e2)
-        return make_mpf(mpf_sqrt(from_man_exp(off2, 2 * (E - F)), prec, _RND))
+        return mp.make_mpf(mpf_sqrt(from_man_exp(off2, 2 * (E - F)), prec, _RND))
 
     sweeps = 0
     for l in range(n):
@@ -508,7 +498,7 @@ def sym_eigenvalues(A: RealMatrix, prec: int) -> EigenResult:
             _ql_step(d, e2, l, m, F)
 
     zero = 1 << (F - prec - 32)        # 2^-(prec+32) * 2^E at scale F
-    eigs = sorted(make_mpf(from_man_exp(x, E - F, prec, _RND)
+    eigs = sorted(mp.make_mpf(from_man_exp(x, E - F, prec, _RND)
                            if abs(x) > zero else fzero) for x in d)
     return EigenResult(eigenvalues=tuple(eigs), precision_used=prec,
                        offdiag_residual=residual(), sweeps=sweeps)
@@ -535,8 +525,9 @@ def _identity_state(eigs, det, floor, prec):
     Returns (ok, zero_at_precision_count, product) for the zero ``floor``
     of the level, the eigenvalue product taken at ``prec + 32`` bits.  With
     no zeros-at-precision the check is a strict relative comparison;
-    otherwise both sides must vanish below the scale reachable by a product
-    containing a roundoff-level factor.
+    otherwise the determinant must vanish below 2^(2m) * prod(max(|mu|,
+    floor)), the scale reachable by a product containing a roundoff-level
+    factor, which the product itself never exceeds.
     """
     with workprec(prec + 32):
         zeros = sum(1 for mu in eigs if abs(mu) <= floor)
@@ -546,7 +537,7 @@ def _identity_state(eigs, det, floor, prec):
         bound = mpf(2) ** (2 * len(eigs))
         for mu in eigs:
             bound = bound * max(abs(mu), floor)
-        return abs(det) <= bound and abs(prod) <= bound, zeros, prod
+        return abs(det) <= bound, zeros, prod
 
 
 def accept_level(A: RealMatrix, eigenvalues, prec: int):
@@ -578,7 +569,7 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
                    prec_cap: int = DEFAULT_PREC_CAP) -> EigenResult:
     """Eigenvalues by ``sym_eigenvalues`` at doubling precisions.
 
-    The ladder starts at ``start_prec(target_digits, prec_cap)``.  A level
+    The levels are those of ``ladder(target_digits, prec_cap)``.  A level
     agrees when it matches the previous one on every eigenvalue to
     ``target_digits`` relative digits (absolute for values below
     10^-target_digits); exactly diagonal input agrees at the first level,
@@ -592,10 +583,8 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
     if target_digits < 10:
         raise ValueError("target_digits must be >= 10")
     n = A.dim
-    prev = older = None
-    reason = None
-    prec = start_prec(target_digits, prec_cap)
-    while prec <= prec_cap:
+    prev = older = reason = None
+    for prec in ladder(target_digits, prec_cap):
         cur = _diagonal_result(A, prec) if prev is None else None
         agreed = cur is not None
         if cur is None:
@@ -607,7 +596,6 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
             if reason is None:
                 return replace(cur, det=det, zero_floor=floor)
         older, prev = prev, cur
-        prec *= 2
     if reason:
         raise IdentityError("%s; precision cap %d reached (insufficient "
                             "precision)" % (reason, prec_cap))

@@ -43,7 +43,7 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp
 
 from .coeffs import CacheCorruptionError, CoeffStream, _atomic_write, theta
-from .hankel import signed_hankel
+from .hankel import coefficient_window, signed_hankel
 from .mpnum import (
     DEFAULT_PREC_CAP,
     ConvergenceError,
@@ -51,12 +51,12 @@ from .mpnum import (
     PrecisionCapError,
     accept_level,
     adaptive_solve,
-    make_mpf,
-    start_prec,
+    ladder,
     to_decimal,
 )
 
 RECORD_FORMAT = 2   # part of every record key: another format never matches
+PAIRING_PREC = 128  # pairing_stats works at this precision plus 16 bits
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def split(ls: LogSpectrum, policy: str = "largest-gap",
     if policy == "threshold":
         if value is None:
             raise ValueError("threshold policy needs a cut value")
-        cut = mpf(value)
+        cut = mpf(value, prec=wp)
         policy_id = "threshold:%s" % value
         electrons = tuple(x for x in pts if x < cut)
         trains = tuple(x for x in pts if x >= cut)
@@ -208,7 +208,7 @@ def _median(vals, wp):
         return +((vals[n // 2 - 1] + vals[n // 2]) / 2)
 
 
-def pairing_stats(trains, prec: int = 128) -> PairingStats:
+def pairing_stats(trains) -> PairingStats:
     """Quantify pair structure: consecutive disjoint pairs after sorting.
 
     intra gaps are within pairs (1,2), (3,4), ...; inter gaps separate
@@ -218,7 +218,7 @@ def pairing_stats(trains, prec: int = 128) -> PairingStats:
     pts = sorted(trains)
     if len(pts) < 4:
         raise ValueError("pairing needs at least 4 points")
-    wp = prec + 16
+    wp = PAIRING_PREC + 16
     with workprec(wp):
         npairs = len(pts) // 2
         intra = [pts[2 * i + 1] - pts[2 * i] for i in range(npairs)]
@@ -257,12 +257,7 @@ def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
     ms = sorted(set(int(m) for m in m_range))
     if not ms:
         raise ValueError("empty m range")
-    top = l + ms[-1] - 1
-    if stream.max_index < top:
-        raise ValueError(
-            "stream ends at index %d but the sweep needs index %d"
-            % (stream.max_index, top)
-        )
+    coefficient_window(stream, l, ms[-1])   # a short stream raises here
     results, paths = {}, {}
     if cache_dir:
         for m in ms:
@@ -303,7 +298,7 @@ def _raw_mpf(item):
     raw = from_man_exp(-man if sign else man, exp)
     if raw != (sign, man, exp, bc):
         raise ValueError("%r is not a normalised binary value" % (item,))
-    return make_mpf(raw)
+    return mp.make_mpf(raw)
 
 
 def _record_path(stream, l, m, target_digits, prec_cap, cache_dir):
@@ -313,7 +308,8 @@ def _record_path(stream, l, m, target_digits, prec_cap, cache_dir):
     binary value of each coefficient the matrix reads, so a stream that
     differs in any bit misses instead of reading a stale record.
     """
-    coeffs = [_raw_json(theta(stream, k)._mpf_) for k in range(l - m + 1, l + m)]
+    coeffs = [_raw_json(theta(stream, k)._mpf_)
+              for k in coefficient_window(stream, l, m)]
     key = json.dumps([RECORD_FORMAT, stream.spec.spec_hash(),
                       stream.precision_bits, l, m, target_digits, prec_cap,
                       coeffs])
@@ -334,7 +330,7 @@ def _load_record(stream, l, m, target_digits, prec_cap, path):
     The determinant, zero floor and sign are computed again, never read.
     A file this program cannot have written (malformed JSON, an eigenvalue
     that is not a normalised binary value, a wrong count or order, a
-    precision off the ladder or below its start) raises
+    precision not in ``ladder(target_digits, prec_cap)``) raises
     ``CacheCorruptionError``.
     """
     if not os.path.exists(path):
@@ -344,9 +340,7 @@ def _load_record(stream, l, m, target_digits, prec_cap, path):
             doc = json.load(fh)
         prec = doc["precision_used"]
         eigs = tuple(_raw_mpf(item) for item in doc["eigenvalues"])
-        start = start_prec(target_digits, prec_cap)
-        levels = [start << k for k in range(prec_cap.bit_length())]
-        if type(prec) is not int or prec > prec_cap or prec not in levels:
+        if type(prec) is not int or prec not in ladder(target_digits, prec_cap):
             raise ValueError("precision %r is not a level of the ladder"
                              % (prec,))
         if len(eigs) != m or any(b < a for a, b in zip(eigs, eigs[1:])):

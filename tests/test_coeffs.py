@@ -370,6 +370,20 @@ class TestSeriesOracles:
             refs = mp.taylor(lambda x: mp.gamma(1 + x), 0, N)
         _assert_close(stream.values, refs, prec - 8)
 
+    @pytest.mark.parametrize("expr, f", [
+        ("zeta(2 + s*s)", lambda x: mp.zeta(2 + x * x)),
+        ("gamma(exp(s) + s*s)", lambda x: mp.gamma(mp.exp(x) + x * x)),
+    ], ids=["zeta", "gamma"])
+    def test_composition_with_a_nonlinear_inner_series(self, expr, f):
+        # the inner series is not a*h, so the outer series is composed by
+        # Horner's rule rather than by scaling
+        prec, N = 128, 6
+        stream = generate(_series_spec(expr, ring="0.5", analyticity="1"),
+                          N, prec)
+        with workprec(prec + 64):
+            refs = mp.taylor(f, 0, N)
+        _assert_close(stream.values, refs, prec - 8)
+
     def test_one_over_one_minus_z_exact(self):
         stream = generate(analytic_spec("one-over-one-minus-z"), 40, 256)
         assert list(stream.values) == [1] * 41

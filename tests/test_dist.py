@@ -61,6 +61,15 @@ class TestEvaluate:
         F = step_distribution([mpf(-1), mpf(1)], 2)
         assert evaluate(F, 0) == Fraction(1, 2)
 
+    def test_decimal_input_parsed_at_precision(self):
+        # at 53 bits "0.1" reads 5.6e-18 above 0.1, above this point too
+        with workprec(256):
+            x = mpf("0.1") + mpf("1e-30")
+        F = step_distribution([x], 1)
+        assert evaluate(F, "0.1") == 0
+        G = step_distribution(["0.1"], 1)
+        assert G.jumps[0] < x and evaluate(G, "0.1") == 1
+
     def test_right_continuous_nondecreasing(self, rng):
         pts = sorted(mpf(rng.uniform(-5, 5)) for _ in range(9))
         F = step_distribution(pts, 12)

@@ -353,6 +353,19 @@ class TestCli:
         assert doc["verdict"] == "UNAVAILABLE"
         assert doc["m_grid"] == [2, 4, 8, 16] and doc["series"] == {}
 
+    def test_v2_unavailable_computes_no_stream(self, monkeypatch, capsys):
+        def no_stream(*args, **kwargs):
+            pytest.fail("a stream was generated")
+
+        monkeypatch.setattr(figio, "generate", no_stream)
+        assert cli(["check", "v2", "--func", "exponential", "--l", "1",
+                    "--m-max", "64"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["check"] == "v2" and doc["l"] == 1
+        assert doc["verdict"] == "UNAVAILABLE"
+        assert doc["m_grid"] == [] and doc["series"] == {}
+        assert doc["notes"] == ["no reference growth rate configured"]
+
     @pytest.mark.parametrize("cid", ["v2", "v6"])
     def test_check_reference_rate_from_wl_file(self, cid, tmp_path, capsys):
         wl = tmp_path / "wl.json"

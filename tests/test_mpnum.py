@@ -30,8 +30,7 @@ from hankelspectra.mpnum import (
     PrecisionCapError,
     accept_level,
     guard_prec,
-    make_mpf,
-    start_prec,
+    ladder,
 )
 
 from conftest import (
@@ -190,7 +189,7 @@ class TestSymEigenvalues:
 
 def _shifted(A, k):
     """A times 2^k, exactly."""
-    return real_matrix([[make_mpf(mpf_shift(x._mpf_, k)) for x in row]
+    return real_matrix([[mp.make_mpf(mpf_shift(x._mpf_, k)) for x in row]
                         for row in A.entries], symmetric=True)
 
 
@@ -440,7 +439,7 @@ class TestStartPrec:
     def test_power_of_two_covering_the_digits(self, digits, start):
         # 10 digits need 34 bits, below det_lu's 64; 77 need 255.8, 78 need
         # 259.1
-        assert start_prec(digits, DEFAULT_PREC_CAP) == start
+        assert ladder(digits, DEFAULT_PREC_CAP)[0] == start
         bits = math.ceil(digits * math.log2(10))
         assert start == 64 or start // 2 < bits <= start
 
@@ -449,7 +448,15 @@ class TestStartPrec:
         (78, 1024, 512), (78, 1000, 256), (77, 512, 256),
         (30, 256, 128), (30, 128, 64), (30, 64, 64)])
     def test_cap_leaves_two_levels(self, digits, cap, start):
-        assert start_prec(digits, cap) == start
+        assert ladder(digits, cap)[0] == start
+
+    @pytest.mark.parametrize("digits, cap, levels", [
+        (10, 64, [64]), (10, 127, [64]), (10, 128, [64, 128]),
+        (30, 1024, [128, 256, 512, 1024]), (30, 1023, [128, 256, 512]),
+        (78, 8192, [512, 1024, 2048, 4096, 8192]),
+        (200, 2047, [512, 1024]), (30, 63, [])])
+    def test_levels_double_up_to_the_cap(self, digits, cap, levels):
+        assert ladder(digits, cap) == levels
 
     @pytest.mark.parametrize("digits, levels", [
         (10, [64, 128]), (30, [128, 256]), (78, [512, 1024])])
@@ -468,6 +475,20 @@ class TestStartPrec:
 
 
 class TestAdaptiveSolve:
+    def test_agreement_below_the_floor_is_absolute(self):
+        # at most 10^-30 in size, two levels agree only within 10^-30
+        # absolute: 1e-30 and -1e-30 are 2e-30 apart
+        wp = guard_prec(128, 1)
+        with workprec(wp):
+            x, y, half = mpf("1e-30"), mpf("-1e-30"), mpf("0.5e-30")
+
+        def level(mu):
+            return mpnum.EigenResult(eigenvalues=(mu,), precision_used=128,
+                                     offdiag_residual=mpf(0))
+
+        assert not mpnum._agree(level(x), level(y), 30, wp)
+        assert mpnum._agree(level(x), level(half), 30, wp)
+
     # 20 digits (67 bits) start the ladder at 128 bits
     def test_diagonal_exact_at_first_precision(self):
         with workprec(128):

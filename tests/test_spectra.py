@@ -25,6 +25,7 @@ from hankelspectra import analytic_spec, signed_hankel
 from hankelspectra import mpnum
 from hankelspectra import spectra as spectra_mod
 from hankelspectra.coeffs import CacheCorruptionError
+from hankelspectra.hankel import StreamTooShortError
 from hankelspectra.mpnum import (
     ConvergenceError,
     IdentityError,
@@ -183,6 +184,17 @@ class TestSplit:
         assert sp.electrons == (mpf(-1),)
         assert sp.trains == (mpf(1),)
 
+    def test_threshold_cut_parsed_at_working_precision(self):
+        # at 53 bits the cut "0.1" reads 5.6e-18 above 0.1, so x >= 0.1
+        # fell below it
+        with workprec(256):
+            x = mpf("0.1") + mpf("1e-30")
+        ls = LogSpectrum(l=1, m=2, points=(mpf(-1), x), zero_count=0,
+                         precision_bits=256)
+        sp = split(ls, policy="threshold", value="0.1")
+        assert sp.electrons == (mpf(-1),)
+        assert sp.trains == (x,)
+
     def test_degenerate_all_equal(self):
         with pytest.warns(UserWarning, match="degenerate"):
             sp = split(mk_log_spectrum([0, 0, 0]))
@@ -303,6 +315,16 @@ class TestSweep:
     def test_stream_coverage_validated(self, exp_stream):
         with pytest.raises(ValueError, match="index"):
             sweep(exp_stream, 20, range(1, 10), 30)
+
+    def test_short_stream_raises_before_any_solve(self, exp_stream,
+                                                  monkeypatch):
+        def no_solve(*args, **kwargs):
+            pytest.fail("a spectrum was computed")
+
+        monkeypatch.setattr(spectra_mod, "adaptive_solve", no_solve)
+        top = exp_stream.max_index
+        with pytest.raises(StreamTooShortError, match=str(top + 1)):
+            sweep(exp_stream, 2, range(1, top + 1), 30)
 
     def test_csv_deterministic_with_zero_sentinel(self, geo1_stream):
         res = sweep(geo1_stream, 1, range(1, 4), 30)
