@@ -89,3 +89,6 @@ run spectrum --func one-over-one-minus-z --l 1 --m 3 \
 # without a reference rate v2 reports UNAVAILABLE before any stream exists
 run check v2 --func exponential --l 1 --m-max 16 \
     --out check_v2_unavailable.json
+# 1500 digits need 4983 bits, above 4096: the 1x1 matrix is exact at 8192
+run spectrum --func exponential --l 4 --m 1 --digits 1500 --format json \
+    --out spectrum_exponential_1500.json

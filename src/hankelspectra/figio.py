@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -49,7 +48,8 @@ from .harness import (
     load_reference_constants,
 )
 from .spectra import log_spectrum, spectra_csv, split, sweep
-from .mpnum import DEFAULT_PREC_CAP, det_lu, to_decimal
+from . import mpnum
+from .mpnum import det_lu, stream_bits, to_decimal
 
 CHECK_IDS = ("2A", "2B", "2C", "2D", "2E", "v2", "v3", "v5", "v6")
 
@@ -240,10 +240,6 @@ def verify_manifest(path: str) -> list:
 # CLI
 
 
-def _digits_to_bits(digits: int) -> int:
-    return max(256, math.ceil(digits * math.log2(10)) + 64)
-
-
 def _add_common(p):
     p.add_argument("--func", required=True,
                    help="function token, e.g. geometric:1, exponential, "
@@ -262,10 +258,8 @@ def _add_common(p):
 
 
 def _add_record_flags(p):
-    """``_add_common`` plus the flags of commands that compute spectra."""
+    """``_add_common`` plus the flag of commands that compute spectra."""
     _add_common(p)
-    p.add_argument("--prec-cap", type=int, default=DEFAULT_PREC_CAP,
-                   help="adaptive precision cap in bits")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
@@ -337,13 +331,13 @@ def _parse_policy(s):
 
 
 def _make_stream(args, spec, l, m_needed):
-    bits = _digits_to_bits(args.digits)
-    return generate(spec, l + m_needed - 1, bits, cache_dir=args.cache_dir)
+    return generate(spec, l + m_needed - 1, stream_bits(args.digits),
+                    cache_dir=args.cache_dir)
 
 
 def _write_manifest(args, spec, l, m_grid, out):
-    man = build_manifest(spec.name, spec.spec_hash(), [l], m_grid,
-                         "digits=%d cap=%d" % (args.digits, args.prec_cap),
+    policy = "digits=%d cap=%d" % (args.digits, mpnum.DEFAULT_PREC_CAP)
+    man = build_manifest(spec.name, spec.spec_hash(), [l], m_grid, policy,
                          [out], base_dir=os.path.dirname(out) or ".")
     write_manifest(man, out + ".manifest.json")
 
@@ -382,7 +376,7 @@ def _records_for(args, spec, ls, ms):
     records, failed = [], []
     for l in ls:
         result = sweep(stream, l, ms, args.digits, jobs=args.jobs,
-                       prec_cap=args.prec_cap, cache_dir=args.cache_dir)
+                       cache_dir=args.cache_dir)
         records.extend(result.records)
         failed.extend("l=%d m=%d: %s" % (l, m, err)
                       for m, err in sorted(result.failures.items()))
@@ -422,8 +416,7 @@ def _cmd_sweep(args, spec):
     l = _single_l(args.l)
     stream = _make_stream(args, spec, l, args.m_max)
     result = sweep(stream, l, range(1, args.m_max + 1), args.digits,
-                   jobs=args.jobs, prec_cap=args.prec_cap,
-                   cache_dir=args.cache_dir)
+                   jobs=args.jobs, cache_dir=args.cache_dir)
     for m, err in sorted(result.failures.items()):
         print("m=%d failed: %s" % (m, err), file=sys.stderr)
     records = result.records

@@ -241,9 +241,6 @@ def estimate_constant_factor(dets, growth_rate) -> TrendReport:
     """Estimate the constant in d_m ~ W^m * R from the tail of d_m / W^m."""
     if growth_rate is None:
         return _unavailable("constant-factor", None, (), "tail-mean-normalized")
-    W = mpf(growth_rate) if not isinstance(growth_rate, mpf) else growth_rate
-    if not W > 0:
-        raise ValueError("growth rate must be positive")
     dets = sorted(dets, key=lambda t: t[0])
     if len(dets) < MIN_DETERMINANTS:
         raise ValueError("need at least %d determinants" % MIN_DETERMINANTS)
@@ -255,6 +252,9 @@ def estimate_constant_factor(dets, growth_rate) -> TrendReport:
                   "dispersion_tol": CONST_DISPERSION_TOL}
     notes = []
     with workprec(wp):
+        W = mp.convert(growth_rate)     # an mpf as it is, else read at wp
+        if not W > 0:
+            raise ValueError("growth rate must be positive")
         seq = [(m, +(mpf(d) / W ** m)) for m, d in dets]
         tail = seq[-max(3, len(seq) // 4):]
         est = +(mp.fsum(v for _, v in tail) / len(tail))
@@ -339,11 +339,10 @@ def check_mean_trend(dists_by_m, growth_rate, l=None) -> TrendReport:
     """
     if growth_rate is None:
         return _unavailable("v6", l, sorted(dists_by_m), "dyadic-gap-monotone")
-    W = mpf(growth_rate) if not isinstance(growth_rate, mpf) else growth_rate
     ms = sorted(dists_by_m)
     wp = 64 + max(d.precision_bits for d in dists_by_m.values())
     with workprec(wp):
-        target = mp.log(W)
+        target = mp.log(mp.convert(growth_rate))
         means = [(m, mean(dists_by_m[m])) for m in ms]
         gaps = [(m, +abs(v - target)) for m, v in means]
         gd = dict(gaps)

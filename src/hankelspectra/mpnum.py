@@ -14,7 +14,7 @@ global mpmath context and safe to call concurrently from worker processes.
                          the exact nullity,
 * ``ladder``          -- the one precision ladder: the least power of two
                          of bits that holds the target digits, doubled up
-                         to the cap,
+                         to the cap ``DEFAULT_PREC_CAP``,
 * ``adaptive_solve``  -- ``sym_eigenvalues`` at each level of ``ladder``
                          until two consecutive levels agree and
                          ``accept_level`` accepts the level.
@@ -100,19 +100,24 @@ class PrecisionCapError(RuntimeError):
         self.previous = previous
 
 
-def ladder(target_digits: int, prec_cap: int) -> list:
+def ladder(target_digits: int) -> list:
     """The precision levels for ``target_digits``, ascending.
 
-    The first is the smallest power of two of at least
-    ceil(target_digits * log2(10)) bits, no more than the largest power of
-    two of at most prec_cap / 2, so that two levels fit under the cap, and
-    no less than 64, the least precision ``det_lu`` takes.  Each next level
-    doubles it, up to ``prec_cap``.
+    The first is the least power of two of at least
+    ceil(target_digits * log2(10)) bits, and no less than 64, the least
+    precision ``det_lu`` takes.  Each next level doubles it, up to
+    ``DEFAULT_PREC_CAP``.  A target that needs more bits than the cap has
+    no level, so ``adaptive_solve`` fails it with ``PrecisionCapError``.
     """
     bits = (10 ** target_digits).bit_length()   # ceil(digits * log2(10))
-    top = 1 << max(0, (prec_cap // 2).bit_length() - 1)
-    start = max(64, min(1 << (bits - 1).bit_length(), top))
-    return [start << k for k in range((prec_cap // start).bit_length())]
+    start = max(64, 1 << (bits - 1).bit_length())
+    return [start << k
+            for k in range((DEFAULT_PREC_CAP // start).bit_length())]
+
+
+def stream_bits(target_digits: int) -> int:
+    """Coefficient bits: 64 more than ``target_digits`` need, at least 256."""
+    return max(256, (10 ** target_digits).bit_length() + 64)
 
 
 def guard_prec(prec: int, dim: int) -> int:
@@ -565,18 +570,18 @@ def accept_level(A: RealMatrix, eigenvalues, prec: int):
     return det, floor, None
 
 
-def adaptive_solve(A: RealMatrix, target_digits: int,
-                   prec_cap: int = DEFAULT_PREC_CAP) -> EigenResult:
+def adaptive_solve(A: RealMatrix, target_digits: int) -> EigenResult:
     """Eigenvalues by ``sym_eigenvalues`` at doubling precisions.
 
-    The levels are those of ``ladder(target_digits, prec_cap)``.  A level
-    agrees when it matches the previous one on every eigenvalue to
+    The levels are those of ``ladder(target_digits)``.  A level agrees
+    when it matches the previous one on every eigenvalue to
     ``target_digits`` relative digits (absolute for values below
     10^-target_digits); exactly diagonal input agrees at the first level,
     since its diagonal is the exact answer.  An agreeing level is judged by
     ``accept_level``; a rejected one continues the ladder from that level.
     At the cap, ``IdentityError`` names the last failed acceptance if any
-    level agreed, else ``PrecisionCapError`` carries the last two levels.
+    level agreed, else ``PrecisionCapError`` carries the last two levels,
+    None for each the ladder lacks.
     """
     if not A.symmetric:
         raise NonSymmetricError("adaptive_solve requires the symmetric flag")
@@ -584,7 +589,7 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
         raise ValueError("target_digits must be >= 10")
     n = A.dim
     prev = older = reason = None
-    for prec in ladder(target_digits, prec_cap):
+    for prec in ladder(target_digits):
         cur = _diagonal_result(A, prec) if prev is None else None
         agreed = cur is not None
         if cur is None:
@@ -598,10 +603,10 @@ def adaptive_solve(A: RealMatrix, target_digits: int,
         older, prev = prev, cur
     if reason:
         raise IdentityError("%s; precision cap %d reached (insufficient "
-                            "precision)" % (reason, prec_cap))
+                            "precision)" % (reason, DEFAULT_PREC_CAP))
     raise PrecisionCapError(
         "no agreement to %d digits below the %d-bit precision cap"
-        % (target_digits, prec_cap),
+        % (target_digits, DEFAULT_PREC_CAP),
         last=prev.eigenvalues if prev is not None else None,
         previous=older.eigenvalues if older is not None else None,
     )

@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp
 
+from . import mpnum
 from .coeffs import CacheCorruptionError, CoeffStream, _atomic_write, theta
-from .hankel import coefficient_window, signed_hankel
+from .hankel import coefficient_window, sign_prefactor, signed_hankel
 from .mpnum import (
-    DEFAULT_PREC_CAP,
     ConvergenceError,
     IdentityError,
     PrecisionCapError,
@@ -69,7 +69,10 @@ class SpectrumRecord:
     target_digits: int
     det: mpf
     zero_threshold: mpf
-    sign: int
+
+    @property
+    def sign(self) -> int:
+        return sign_prefactor(self.m)
 
     @property
     def zero_count(self) -> int:
@@ -108,15 +111,14 @@ class SweepResult:
     failures: dict
 
 
-def compute_spectrum(stream: CoeffStream, l: int, m: int, target_digits: int,
-                     prec_cap: int = DEFAULT_PREC_CAP) -> SpectrumRecord:
+def compute_spectrum(stream: CoeffStream, l: int, m: int,
+                     target_digits: int) -> SpectrumRecord:
     """Eigenvalues of the (l, m) signed Hankel matrix, identity-validated."""
-    sh = signed_hankel(stream, l, m)
-    res = adaptive_solve(sh.matrix, target_digits, prec_cap=prec_cap)
+    res = adaptive_solve(signed_hankel(stream, l, m).matrix, target_digits)
     return SpectrumRecord(
         l=l, m=m, function_id=stream.spec.name, eigenvalues=res.eigenvalues,
         precision_used=res.precision_used, target_digits=target_digits,
-        det=res.det, zero_threshold=res.zero_floor, sign=sh.sign,
+        det=res.det, zero_threshold=res.zero_floor,
     )
 
 
@@ -231,9 +233,9 @@ def pairing_stats(trains) -> PairingStats:
 
 
 def _sweep_worker(args):
-    stream, l, m, target_digits, prec_cap = args
+    stream, l, m, target_digits = args
     try:
-        rec = compute_spectrum(stream, l, m, target_digits, prec_cap=prec_cap)
+        rec = compute_spectrum(stream, l, m, target_digits)
         return m, rec, None
     except (IdentityError, PrecisionCapError, ConvergenceError,
             ValueError) as exc:
@@ -241,14 +243,14 @@ def _sweep_worker(args):
 
 
 def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
-          jobs: int = 1, prec_cap: int = DEFAULT_PREC_CAP,
-          cache_dir: str | None = None) -> SweepResult:
+          jobs: int = 1, cache_dir: str | None = None) -> SweepResult:
     """Spectrum records for every m in m_range; failures recorded per m.
 
     Each (l, m) computation is pure and independent, so the work pool
     parallelises over m without affecting results; output ordering is by m
     regardless of job count.  A pool is started only for more than one m
-    to compute.  With ``cache_dir`` set, records stored under
+    to compute.  An m that no level up to ``mpnum.DEFAULT_PREC_CAP`` bits
+    accepts is a failure.  With ``cache_dir`` set, records stored under
     ``<cache_dir>/records`` are loaded first, each one judged again by
     ``accept_level``; only the rest are computed, and each new record is
     stored.  A stored record that fails the rule is computed again and
@@ -261,13 +263,11 @@ def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
     results, paths = {}, {}
     if cache_dir:
         for m in ms:
-            paths[m] = _record_path(stream, l, m, target_digits, prec_cap,
-                                    cache_dir)
-            rec = _load_record(stream, l, m, target_digits, prec_cap, paths[m])
+            paths[m] = _record_path(stream, l, m, target_digits, cache_dir)
+            rec = _load_record(stream, l, m, target_digits, paths[m])
             if rec is not None:
                 results[m] = (rec, None)
-    tasks = [(stream, l, m, target_digits, prec_cap)
-             for m in ms if m not in results]
+    tasks = [(stream, l, m, target_digits) for m in ms if m not in results]
     use_pool = jobs > 1 and len(tasks) > 1
     with (ProcessPoolExecutor(max_workers=jobs) if use_pool
           else nullcontext()) as pool:
@@ -301,18 +301,19 @@ def _raw_mpf(item):
     return mp.make_mpf(raw)
 
 
-def _record_path(stream, l, m, target_digits, prec_cap, cache_dir):
+def _record_path(stream, l, m, target_digits, cache_dir):
     """Where the (l, m) record of ``stream`` is stored.
 
-    The key hashes everything the record depends on, down to the exact
-    binary value of each coefficient the matrix reads, so a stream that
-    differs in any bit misses instead of reading a stale record.
+    The key hashes everything the record depends on, the precision cap
+    ``mpnum.DEFAULT_PREC_CAP`` included, down to the exact binary value of
+    each coefficient the matrix reads, so a stream that differs in any bit
+    misses instead of reading a stale record.
     """
     coeffs = [_raw_json(theta(stream, k)._mpf_)
               for k in coefficient_window(stream, l, m)]
     key = json.dumps([RECORD_FORMAT, stream.spec.spec_hash(),
-                      stream.precision_bits, l, m, target_digits, prec_cap,
-                      coeffs])
+                      stream.precision_bits, l, m, target_digits,
+                      mpnum.DEFAULT_PREC_CAP, coeffs])
     return os.path.join(cache_dir, "records",
                         hashlib.sha256(key.encode()).hexdigest() + ".json")
 
@@ -323,15 +324,14 @@ def _store_record(rec: SpectrumRecord, path: str):
     _atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _load_record(stream, l, m, target_digits, prec_cap, path):
+def _load_record(stream, l, m, target_digits, path):
     """The record stored at ``path``, or None if there is none or it fails
     ``accept_level`` at its precision.
 
-    The determinant, zero floor and sign are computed again, never read.
-    A file this program cannot have written (malformed JSON, an eigenvalue
-    that is not a normalised binary value, a wrong count or order, a
-    precision not in ``ladder(target_digits, prec_cap)``) raises
-    ``CacheCorruptionError``.
+    The determinant and zero floor are computed again, never read.  A file
+    this program cannot have written (malformed JSON, an eigenvalue that
+    is not a normalised binary value, a wrong count or order, a precision
+    not in ``ladder(target_digits)``) raises ``CacheCorruptionError``.
     """
     if not os.path.exists(path):
         return None
@@ -340,7 +340,7 @@ def _load_record(stream, l, m, target_digits, prec_cap, path):
             doc = json.load(fh)
         prec = doc["precision_used"]
         eigs = tuple(_raw_mpf(item) for item in doc["eigenvalues"])
-        if type(prec) is not int or prec not in ladder(target_digits, prec_cap):
+        if type(prec) is not int or prec not in ladder(target_digits):
             raise ValueError("precision %r is not a level of the ladder"
                              % (prec,))
         if len(eigs) != m or any(b < a for a, b in zip(eigs, eigs[1:])):
@@ -349,14 +349,14 @@ def _load_record(stream, l, m, target_digits, prec_cap, path):
         # malformed JSON is a ValueError; JSON of the wrong shape gives a
         # KeyError, or a TypeError or ValueError from indexing or unpacking
         raise CacheCorruptionError("unreadable record %s: %s" % (path, exc))
-    sh = signed_hankel(stream, l, m)
-    det, floor, reason = accept_level(sh.matrix, eigs, prec)
+    det, floor, reason = accept_level(signed_hankel(stream, l, m).matrix,
+                                      eigs, prec)
     if reason is not None:
         return None
     return SpectrumRecord(
         l=l, m=m, function_id=stream.spec.name, eigenvalues=eigs,
         precision_used=prec, target_digits=target_digits, det=det,
-        zero_threshold=floor, sign=sh.sign,
+        zero_threshold=floor,
     )
 
 

@@ -270,18 +270,38 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["check"] == "2E"
 
-    def test_spectrum_failure_names_cause(self, capsys, tmp_path):
+    def test_spectrum_failure_names_cause(self, capsys, tmp_path,
+                                          monkeypatch):
         # an exactly singular matrix is no failure: its zero is proved
         rc = cli(["spectrum", "--func", "one-over-one-minus-z", "--l", "1",
                   "--m", "2", "--format", "json",
                   "--cache-dir", str(tmp_path)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["zero_count"] == 1
+        monkeypatch.setattr(mpnum, "DEFAULT_PREC_CAP", 128)
         rc = cli(["spectrum", "--func", "exponential", "--l", "1", "--m",
-                  "12", "--prec-cap", "128", "--cache-dir", str(tmp_path)])
+                  "12", "--cache-dir", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "error" in err and "128-bit precision cap" in err
+
+    def test_digits_beyond_4096_bits_take_the_cap_level(self, capsys):
+        # 1500 digits need 4983 bits; the 1x1 matrix 1/4! = 1/24 is exact
+        # at the first level, 8192, and its 5047-bit coefficient holds them
+        rc = cli(["spectrum", "--func", "exponential", "--l", "4", "--m",
+                  "1", "--digits", "1500", "--format", "json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["precision_bits"] == 8192
+        assert doc["eigenvalues"][0].startswith("0.041" + "6" * 1500)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--m", "2"], ["sweep", "--m-max", "2"],
+        ["dist", "--m", "2"], ["check", "v5"], ["figure", "spectra"]])
+    def test_prec_cap_is_no_option(self, argv, capsys):
+        rc = cli(argv + ["--func", "exponential", "--prec-cap", "8192"])
+        assert rc == 2
+        assert "unrecognized arguments: --prec-cap" in capsys.readouterr().err
 
     def test_dist_csv(self, capsys):
         rc = cli(["dist", "--func", "exponential", "--l", "1", "--m", "3"])

@@ -55,8 +55,7 @@ def synthetic_record(m, eigenvalues, det=None, l=1):
         thr = mpf(10) ** -60
     return SpectrumRecord(l=l, m=m, function_id="synthetic",
                           eigenvalues=eigs, precision_used=256,
-                          target_digits=30, det=det, zero_threshold=thr,
-                          sign=1)
+                          target_digits=30, det=det, zero_threshold=thr)
 
 
 def single_level_dist(jumps, m):
@@ -137,6 +136,14 @@ class TestConstantFactor:
         rep = estimate_constant_factor([(1, mpf(2))], None)
         assert rep.verdict == UNAVAILABLE
 
+    def test_decimal_rate_parsed_at_working_precision(self):
+        # 3.7 at 53 bits would leave the limit 0.899999999999999373
+        with workprec(256):
+            dets = [(m, mpf("0.9") * mpf("3.7") ** m) for m in range(1, 17)]
+        rep = estimate_constant_factor(dets, "3.7")
+        with workprec(256):
+            assert abs(rep.limit - mpf("0.9")) < mpf(10) ** -60
+
 
 class TestEigenvalueProductRate:
     def test_identity_and_trend(self):
@@ -204,6 +211,15 @@ class TestMeanTrend:
     def test_unavailable(self):
         rep = check_mean_trend({4: single_level_dist([0], 1)}, None, l=1)
         assert rep.verdict == UNAVAILABLE
+
+    def test_decimal_rate_parsed_at_working_precision(self):
+        with workprec(256):
+            lw = +mp.log(mpf("3.7"))
+        dists = {m: single_level_dist([lw] * m, m) for m in (4, 8, 16)}
+        rep = check_mean_trend(dists, "3.7", l=1)
+        with workprec(256):
+            assert abs(rep.limit - lw) < mpf(10) ** -60
+        assert rep.verdict == SUPPORTED
 
 
 def log_spec(m, points):

@@ -24,7 +24,6 @@ from hankelspectra import (
 )
 from hankelspectra import mpnum
 from hankelspectra.mpnum import (
-    DEFAULT_PREC_CAP,
     ConvergenceError,
     NonSymmetricError,
     PrecisionCapError,
@@ -432,31 +431,41 @@ class TestDeflation:
 
 class TestStartPrec:
     """The ladder starts at the least power of two that holds the target
-    digits, at least 64 bits and with two levels under the cap."""
+    digits, at least 64 bits, and doubles up to the cap."""
 
     @pytest.mark.parametrize("digits, start", [
         (10, 64), (20, 128), (30, 128), (77, 256), (78, 512), (200, 1024)])
     def test_power_of_two_covering_the_digits(self, digits, start):
         # 10 digits need 34 bits, below det_lu's 64; 77 need 255.8, 78 need
         # 259.1
-        assert ladder(digits, DEFAULT_PREC_CAP)[0] == start
+        assert ladder(digits)[0] == start
         bits = math.ceil(digits * math.log2(10))
         assert start == 64 or start // 2 < bits <= start
 
     @pytest.mark.parametrize("digits, cap, start", [
-        (200, 2048, 1024), (200, 2047, 512), (200, 512, 256),
-        (78, 1024, 512), (78, 1000, 256), (77, 512, 256),
-        (30, 256, 128), (30, 128, 64), (30, 64, 64)])
-    def test_cap_leaves_two_levels(self, digits, cap, start):
-        assert ladder(digits, cap)[0] == start
+        (200, 2048, 1024), (78, 1024, 512), (77, 512, 256), (30, 256, 128)])
+    def test_cap_leaves_two_levels(self, monkeypatch, digits, cap, start):
+        monkeypatch.setattr(mpnum, "DEFAULT_PREC_CAP", cap)
+        assert ladder(digits) == [start, cap]
 
+    # a target that needs more bits than the cap gets fewer levels or none:
+    # 200 digits need 665 bits, 30 need 100
     @pytest.mark.parametrize("digits, cap, levels", [
         (10, 64, [64]), (10, 127, [64]), (10, 128, [64, 128]),
         (30, 1024, [128, 256, 512, 1024]), (30, 1023, [128, 256, 512]),
         (78, 8192, [512, 1024, 2048, 4096, 8192]),
-        (200, 2047, [512, 1024]), (30, 63, [])])
-    def test_levels_double_up_to_the_cap(self, digits, cap, levels):
-        assert ladder(digits, cap) == levels
+        (200, 512, []), (30, 63, []), (30, 128, [128])])
+    def test_levels_double_up_to_the_cap(self, monkeypatch, digits, cap,
+                                         levels):
+        monkeypatch.setattr(mpnum, "DEFAULT_PREC_CAP", cap)
+        assert ladder(digits) == levels
+
+    def test_every_level_holds_the_digits_under_the_cap(self):
+        # from 1234 digits on, 4096 bits no longer hold the target
+        for digits in range(10, 3001):
+            bits = (10 ** digits).bit_length()
+            for prec in ladder(digits):
+                assert bits <= prec <= 8192, (digits, prec)
 
     @pytest.mark.parametrize("digits, levels", [
         (10, [64, 128]), (30, [128, 256]), (78, [512, 1024])])
@@ -517,14 +526,18 @@ class TestAdaptiveSolve:
         for a, b in zip(res.eigenvalues, oracle):
             assert rel_err(a, b, wp=2 * res.precision_used + 64) < mpf(10) ** -30
 
-    def test_precision_cap_carries_both_lists(self):
-        with workprec(512):
-            rows = [[mpf(1) / (i + j + 1) for j in range(8)] for i in range(8)]
-        A = real_matrix(rows, symmetric=True)
+    def test_precision_cap_carries_both_lists(self, monkeypatch):
+        # the eigenvalue 2^-91 (about 4e-28) carries the absolute rounding
+        # of about 2^-168: levels 128 and 256 agree on 25 digits, not 30
+        with workprec(128):
+            A = real_matrix([[1, 1], [1, 1 + mpf(2) ** -90]], symmetric=True)
+        monkeypatch.setattr(mpnum, "DEFAULT_PREC_CAP", 256)
         with pytest.raises(PrecisionCapError) as exc:
-            adaptive_solve(A, 200, prec_cap=512)
+            adaptive_solve(A, 30)
         assert exc.value.last is not None
         assert exc.value.previous is not None
+        monkeypatch.setattr(mpnum, "DEFAULT_PREC_CAP", 512)
+        assert adaptive_solve(A, 30).precision_used == 512
 
     def test_target_digits_validated(self):
         A = real_matrix([[1]], symmetric=True)

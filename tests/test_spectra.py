@@ -142,7 +142,7 @@ class TestLogSpectrum:
         return SpectrumRecord(
             l=1, m=len(eigs), function_id="synthetic", eigenvalues=eigs,
             precision_used=256, target_digits=30, det=mpf(1),
-            zero_threshold=thr, sign=1,
+            zero_threshold=thr,
         )
 
     def test_plus_minus_e(self):
@@ -268,9 +268,11 @@ class TestSweep:
         res = sweep(exp_stream, 1, [4], 30, jobs=2)
         assert [r.m for r in res.records] == [4]
 
-    def test_failure_recorded_without_abort(self, zeta_star_stream):
+    def test_failure_recorded_without_abort(self, zeta_star_stream,
+                                            monkeypatch):
         # a tiny precision cap fails larger m but leaves small m intact
-        res = sweep(zeta_star_stream, 1, range(1, 4), 30, prec_cap=128)
+        monkeypatch.setattr(mpnum, "DEFAULT_PREC_CAP", 128)
+        res = sweep(zeta_star_stream, 1, range(1, 4), 30)
         assert 1 not in res.failures
         assert res.failures, "expected at least one capped failure"
         assert [r.m for r in res.records] + sorted(res.failures) == [1, 2, 3]
@@ -400,10 +402,11 @@ class TestIdentityLadder:
         det_lu = mpnum.det_lu
         monkeypatch.setattr(mpnum, "det_lu", lambda A, prec: 2 * det_lu(A, prec))
         bits = self._levels(monkeypatch)
+        monkeypatch.setattr(mpnum, "DEFAULT_PREC_CAP", 1024)
         with pytest.raises(IdentityError,
                            match="disagrees with the determinant at 1024 bits; "
                                  "precision cap 1024 reached"):
-            compute_spectrum(exp_stream, 1, 3, 30, prec_cap=1024)
+            compute_spectrum(exp_stream, 1, 3, 30)
         assert bits == [128, 256, 512, 1024]
 
 
@@ -452,7 +455,9 @@ class TestRecordStore:
 
         sweep(exp_stream, 2, [2], 30, cache_dir=cd)
         sweep(exp_stream, 1, [2], 31, cache_dir=cd)
-        sweep(exp_stream, 1, [2], 30, prec_cap=4096, cache_dir=cd)
+        with monkeypatch.context() as patch:
+            patch.setattr(mpnum, "DEFAULT_PREC_CAP", 4096)
+            sweep(exp_stream, 1, [2], 30, cache_dir=cd)
         sweep(tweak(2), 1, [2], 30, cache_dir=cd)
         sweep(tweak(3), 1, [2], 30, cache_dir=cd)
         assert calls == [5, 2, 2, 2, 2]
@@ -487,7 +492,7 @@ class TestRecordStore:
         old = replace(rec, eigenvalues=high.eigenvalues, precision_used=512)
         monkeypatch.setattr(spectra_mod, "RECORD_FORMAT", 1)
         spectra_mod._store_record(old, spectra_mod._record_path(
-            exp_stream, 1, 4, 30, mpnum.DEFAULT_PREC_CAP, cd))
+            exp_stream, 1, 4, 30, cd))
         assert sweep(exp_stream, 1, [4], 30,
                      cache_dir=cd).records[0].precision_used == 512
         monkeypatch.setattr(spectra_mod, "RECORD_FORMAT", 2)
@@ -552,12 +557,11 @@ class TestRecordStore:
         assert sum(1 for mu in low if abs(mu) <= floor) == 1
         assert reason == ("1 eigenvalue(s) not resolvable above the "
                           "roundoff floor at 256 bits")
-        path = spectra_mod._record_path(stream, 1, 56, 30,
-                                        mpnum.DEFAULT_PREC_CAP, cd)
+        path = spectra_mod._record_path(stream, 1, 56, 30, cd)
         old = SpectrumRecord(l=1, m=56, function_id=stream.spec.name,
                              eigenvalues=low, precision_used=256,
                              target_digits=30, det=mpf(0),
-                             zero_threshold=floor, sign=1)
+                             zero_threshold=floor)
         spectra_mod._store_record(old, path)
         calls = self._solves(monkeypatch)
         res = sweep(stream, 1, [56], 30, cache_dir=cd)
