@@ -52,6 +52,8 @@ run sweep --func "user-moments:$MOMENTS" --l 1 --m-max 12 --digits 77 \
     --jobs 2 --out sweep_moments.csv
 run sweep --func geometric:1 --l 1 --m-max 6 --format json \
     --out sweep_geometric.json
+# more jobs than records: the pool starts one worker per record
+run sweep --func exponential --l 1 --m-max 3 --jobs 4 --out sweep_jobs4.csv
 run spectrum --func exponential --l 2 --m 5 --format json \
     --out spectrum_exponential.json
 # 15 digits start the eigenvalue ladder at its 64-bit floor

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from xml.sax.saxutils import escape
 
 from mpmath import workprec
 
@@ -96,16 +95,16 @@ class _Canvas:
             xp, yp = self.px(xv), self.py(yv)
             self.add('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#000" stroke-width="1"/>'
                      % (xp, y0, xp, y0 + 5))
-            self.add('<text x="%.2f" y="%.2f" font-size="12" text-anchor="middle">%s</text>'
-                     % (xp, y0 + 20, escape("%.4g" % xv)))
+            self.add('<text x="%.2f" y="%.2f" font-size="12" text-anchor="middle">%.4g</text>'
+                     % (xp, y0 + 20, xv))
             self.add('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#000" stroke-width="1"/>'
                      % (x0 - 5, yp, x0, yp))
-            self.add('<text x="%.2f" y="%.2f" font-size="12" text-anchor="end">%s</text>'
-                     % (x0 - 8, yp + 4, escape("%.4g" % yv)))
+            self.add('<text x="%.2f" y="%.2f" font-size="12" text-anchor="end">%.4g</text>'
+                     % (x0 - 8, yp + 4, yv))
         self.add('<text x="%.2f" y="%.2f" font-size="14" text-anchor="middle">%s</text>'
-                 % ((x0 + x1) / 2, HEIGHT - 15, escape(xlabel)))
+                 % ((x0 + x1) / 2, HEIGHT - 15, xlabel))
         self.add('<text x="%.2f" y="%.2f" font-size="14" text-anchor="middle" transform="rotate(-90 15 %.2f)">%s</text>'
-                 % (15.0, (y0 + y1) / 2, (y0 + y1) / 2, escape(ylabel)))
+                 % (15.0, (y0 + y1) / 2, (y0 + y1) / 2, ylabel))
 
     def tostring(self):
         head = ('<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -35,7 +35,6 @@ import hashlib
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -246,10 +245,10 @@ def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
           jobs: int = 1, cache_dir: str | None = None) -> SweepResult:
     """Spectrum records for every m in m_range; failures recorded per m.
 
-    Each (l, m) computation is pure and independent, so the work pool
-    parallelises over m without affecting results; output ordering is by m
-    regardless of job count.  A pool is started only for more than one m
-    to compute.  An m that no level up to ``mpnum.DEFAULT_PREC_CAP`` bits
+    Each (l, m) is pure and independent, so the output, ordered by m, is the
+    same for every job count.  A pool starts, and its modules load, only for
+    ``jobs`` > 1 and at least two records to compute, with at most one worker
+    per record.  An m that no level up to ``mpnum.DEFAULT_PREC_CAP`` bits
     accepts is a failure.  With ``cache_dir`` set, records stored under
     ``<cache_dir>/records`` are loaded first, each one judged again by
     ``accept_level``; only the rest are computed, and each new record is
@@ -268,10 +267,12 @@ def sweep(stream: CoeffStream, l: int, m_range, target_digits: int,
             if rec is not None:
                 results[m] = (rec, None)
     tasks = [(stream, l, m, target_digits) for m in ms if m not in results]
-    use_pool = jobs > 1 and len(tasks) > 1
-    with (ProcessPoolExecutor(max_workers=jobs) if use_pool
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        run = pool.map if use_pool else map
+        run = pool.map if workers > 1 else map
         for m, rec, err in run(_sweep_worker, tasks):
             results[m] = (rec, err)
             if rec is not None and cache_dir:

@@ -1,7 +1,11 @@
+import concurrent.futures
 import csv
 import io
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -19,7 +23,6 @@ from hankelspectra import (
     sweep,
 )
 from hankelspectra import figio, mpnum
-from hankelspectra import spectra as spectra_mod
 from hankelspectra.figio import (
     build_manifest,
     cli,
@@ -440,7 +443,7 @@ class TestRecordStoreCli:
         assert cli(argv + ["--out", a]) == 0
         assert len(os.listdir(str(tmp_path / "cache" / "records"))) == 5
         self._no_solve(monkeypatch)
-        monkeypatch.setattr(spectra_mod, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         assert cli(argv + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
@@ -463,3 +466,39 @@ class TestRecordStoreCli:
                     "--m-max", "4", "--digits", "25"]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["check"] == "2A"
         assert os.listdir(str(tmp_path)) == []
+
+
+class TestImportBudget:
+    """Start-up loads only what a command runs: no process pool, XML, HTTP,
+    mail or socket modules before a pool starts."""
+
+    UNUSED = ["concurrent.futures.process", "multiprocessing", "xml.sax",
+              "urllib.request", "http.client", "email", "ssl", "socket",
+              "subprocess"]
+    PROBE = textwrap.dedent("""
+        import contextlib, io, json, sys
+        before = set(sys.modules)
+        import hankelspectra.figio
+        on_import = sorted(set(sys.modules) - before)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = hankelspectra.figio.cli(
+                ["spectrum", "--func", "exponential", "--l", "1", "--m", "3"])
+        after_cli = sorted(set(sys.modules) - before)
+        print(json.dumps([code, on_import, after_cli]))
+    """)
+
+    def test_import_and_spectrum_load_no_pool_or_network_modules(
+            self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(figio.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("HANKELSPECTRA_CACHE", None)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, on_import, after_cli = json.loads(proc.stdout)
+        assert code == 0
+        assert "hankelspectra.figio" in on_import
+        assert [m for m in self.UNUSED if m in on_import] == []
+        assert [m for m in self.UNUSED if m in after_cli] == []

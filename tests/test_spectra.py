@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -264,9 +265,32 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("process pool started for one m")
 
-        monkeypatch.setattr(spectra_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         res = sweep(exp_stream, 1, [4], 30, jobs=2)
         assert [r.m for r in res.records] == [4]
+
+    def test_pool_has_at_most_one_worker_per_record(self, exp_stream,
+                                                    monkeypatch):
+        started = []
+
+        class FakePool:
+            # runs the tasks in this process: no worker is forked
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        res = sweep(exp_stream, 1, [2, 3], 30, jobs=4)
+        assert started == [2]
+        assert [r.m for r in res.records] == [2, 3]
 
     def test_failure_recorded_without_abort(self, zeta_star_stream,
                                             monkeypatch):
