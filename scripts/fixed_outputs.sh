@@ -6,14 +6,14 @@
 #
 # The set covers each writer of the program: sweep CSV and JSON, spectrum
 # (one record that climbs past a zero-at-precision, one exactly singular),
-# dist, every check id (v2 and v6 with the reference-rate file wl.json that
-# the script writes into OUTDIR, and both without it), both SVG figures, every
-# manifest, the coefficient cache and the record store, which a repeated
-# check reads back.  Commands run inside OUTDIR with relative paths, and
-# their exit codes, stdout and stderr go to OUTDIR/log.txt, so two runs of
-# equal code give equal trees.  To show that
-# a change keeps every output byte-identical, run the script in a checkout
-# of each commit and compare:
+# dist, the coeffs stream file (its stream read from the cache), every check
+# id (v2 and v6 with the reference-rate file wl.json that the script writes
+# into OUTDIR, and both without it), both SVG figures, every manifest, the
+# coefficient cache and the record store, which a repeated check reads back.
+# Commands run inside OUTDIR with relative paths, and their exit codes,
+# stdout and stderr go to OUTDIR/log.txt, so two runs of equal code give
+# equal trees.  To show that a change keeps every output byte-identical, run
+# the script in a checkout of each commit and compare:
 #
 #   diff -r OUT_BEFORE OUT_AFTER
 #
@@ -32,7 +32,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 PY="${PYTHON:-python3}"
 mkdir -p "$1"
 cd "$1" || exit 2
-rm -rf cache ./*.csv ./*.json ./*.svg log.txt
+rm -rf cache ./*.csv ./*.json ./*.jsonl ./*.svg log.txt
 
 unset HANKELSPECTRA_CACHE
 export PYTHONPATH="$ROOT/src"
@@ -82,6 +82,7 @@ done
 # store, so this output shows that a reloaded record writes the same bytes
 run check 2A --func zeta-star --l 1 --m-max 32 --out check_2A_again.json
 run check 2E --func zeta-star --l 1,2 --m-max 32 --out check_2E.json
+run coeffs --func zeta-star --l 1 --m-max 8 --out coeffs_zeta_star.jsonl
 # exponential m=56 is nonsingular but has a zero-at-precision at 256 bits,
 # so it climbs to 512; 1/(1-z) at m=3 has nullity 1, a proved zero
 run spectrum --func exponential --l 1 --m 56 --format json \

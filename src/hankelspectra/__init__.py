@@ -45,7 +45,6 @@ from .harness import (
     INCONCLUSIVE,
     SUPPORTED,
     UNAVAILABLE,
-    ReferenceConstants,
     TrendReport,
     check_distribution_coincidence,
     check_distribution_convergence,

@@ -34,13 +34,13 @@ evaluated at two working precisions, which must agree to 2^-prec relative
 to max(1, |c_k|); that is the precision the stream states.  Point values
 (``zeta_em``) are the one-term case of the same routine.
 
-Disk cache: one JSON-lines file per (spec hash, precision) with records
-``{"k": int, "v": decimal string, "bits": int}`` plus a sidecar manifest
-holding the full spec.  The file holds the whole evaluation, which for an
-analytic stream runs to the end of a block of ``STREAM_BLOCK``
-coefficients, and serves every shorter request.  Decimal strings
-round-trip bit-exactly, and writes are create-then-rename, so concurrent
-readers never observe partial files.
+Disk cache: one JSON-lines file ``<spec hash>_b<bits>_f<CACHE_FORMAT>.jsonl``
+per (spec, precision) with records ``{"k": int, "v": decimal string,
+"bits": int}``; files of another format have another name and are never
+read.  The file holds the whole evaluation, which for an analytic stream
+runs to the end of a block of ``STREAM_BLOCK`` coefficients, and serves
+every shorter request.  Decimal strings round-trip bit-exactly, and writes
+are create-then-rename, so concurrent readers never observe partial files.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ QUAD_NODE_FACTOR = 8
 STREAM_BLOCK = 8
 
 CACHE_ENV_VAR = "HANKELSPECTRA_CACHE"
-CACHE_FORMAT = 2    # 1 held ring-quadrature values; other formats are misses
+CACHE_FORMAT = 3    # in the file name; 1 and 2 had a manifest sidecar
 
 
 class ZetaPoleError(ZeroDivisionError):
@@ -518,23 +518,10 @@ class FunctionSpec:
 
     def spec_hash(self) -> str:
         """Hash of every field that can change the values (cache file names)."""
-        doc = self.to_json()
+        doc = dict(vars(self))
         del doc["name"], doc["analyticity_radius"]
         blob = json.dumps(doc, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "family": self.family,
-            "params": list(self.params),
-            "s0": list(self.s0),
-            "pole_removal": self.pole_removal,
-            "ring_radius": self.ring_radius,
-            "analyticity_radius": self.analyticity_radius,
-            "generator_id": self.generator_id,
-        }
 
 
 def builtin_spec(family: str, *params) -> FunctionSpec:
@@ -835,37 +822,35 @@ def generate(spec: FunctionSpec, N: int, prec: int,
             return _prefix(cached, N)
     if spec.kind == "builtin":
         values = _builtin_values(spec, N, prec)
-        prov = "closed form: %s" % spec.name
     elif spec.kind == "analytic":
         values = _analytic_values(spec, N, prec)
-        base = GENERATORS.get(spec.generator_id, {}).get(
-            "provenance", "analytic expression %r" % spec.pole_removal
-        )
-        prov = ("%s; Taylor-mode Euler-Maclaurin, validated by agreement at "
-                "two working precisions" % base)
     else:
         raise UnknownGeneratorError("unknown spec kind %r" % spec.kind)
     stream = CoeffStream(spec=spec, values=values, precision_bits=prec,
-                         provenance=prov)
+                         provenance=_provenance(spec))
     if cache_dir:
-        _cache_store(stream, cache_dir)
+        _atomic_write(_cache_path(spec, prec, cache_dir), stream_jsonl(stream))
     return _prefix(stream, N)
 
 
-# ---------------------------------------------------------------------------
-# disk cache: JSON-lines values + sidecar manifest, atomic writes
-
-
-def default_cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV_VAR)
-
-
-def _cache_paths(spec, prec, cache_dir):
-    h = spec.spec_hash()
-    return (
-        os.path.join(cache_dir, "%s_b%d.jsonl" % (h, prec)),
-        os.path.join(cache_dir, "%s.manifest.json" % h),
+def _provenance(spec: FunctionSpec) -> str:
+    """How a stream of ``spec`` is computed; a cache hit appends " [cache]"."""
+    if spec.kind == "builtin":
+        return "closed form: %s" % spec.name
+    base = GENERATORS.get(spec.generator_id, {}).get(
+        "provenance", "analytic expression %r" % spec.pole_removal
     )
+    return ("%s; Taylor-mode Euler-Maclaurin, validated by agreement at "
+            "two working precisions" % base)
+
+
+# ---------------------------------------------------------------------------
+# disk cache: one JSON-lines file per stream, atomic writes
+
+
+def _cache_path(spec, prec, cache_dir):
+    return os.path.join(cache_dir, "%s_b%d_f%d.jsonl"
+                        % (spec.spec_hash(), prec, CACHE_FORMAT))
 
 
 def _atomic_write(path, text):
@@ -891,30 +876,13 @@ def stream_jsonl(stream: CoeffStream) -> str:
         for k, v in enumerate(stream.values))
 
 
-def _cache_store(stream: CoeffStream, cache_dir: str):
-    vpath, mpath = _cache_paths(stream.spec, stream.precision_bits, cache_dir)
-    _atomic_write(vpath, stream_jsonl(stream))
-    manifest = {
-        "spec_hash": stream.spec.spec_hash(),
-        "spec": stream.spec.to_json(),
-        "provenance": stream.provenance,
-        "format": CACHE_FORMAT,
-    }
-    _atomic_write(mpath, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
 def _cache_load(spec: FunctionSpec, prec: int, cache_dir: str):
-    vpath, mpath = _cache_paths(spec, prec, cache_dir)
-    if not (os.path.exists(vpath) and os.path.exists(mpath)):
+    path = _cache_path(spec, prec, cache_dir)
+    if not os.path.exists(path):
         return None
+    values = []
     try:
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-        if (manifest.get("spec_hash") != spec.spec_hash()
-                or manifest.get("format") != CACHE_FORMAT):
-            return None
-        values = []
-        with open(vpath) as fh:
+        with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -930,14 +898,13 @@ def _cache_load(spec: FunctionSpec, prec: int, cache_dir: str):
                         "non-contiguous cache indices at k=%s" % rec["k"]
                     )
                 values.append(from_decimal(rec["v"], prec))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # malformed JSON is a ValueError; JSON that is not an object gives
-        # TypeError (a values line) or AttributeError (the manifest)
+    except (ValueError, KeyError, TypeError) as exc:
+        # malformed JSON is a ValueError, a line that is not an object TypeError
         raise CacheCorruptionError("unreadable cache for %s: %s"
                                    % (spec.name, exc))
     if not values:
         return None
     return CoeffStream(
         spec=spec, values=tuple(values), precision_bits=prec,
-        provenance=manifest.get("provenance", "") + " [cache]",
+        provenance=_provenance(spec) + " [cache]",
     )

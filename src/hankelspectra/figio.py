@@ -26,7 +26,6 @@ from mpmath import workprec
 from . import __version__
 from .coeffs import (
     CACHE_ENV_VAR,
-    default_cache_dir,
     generate,
     parse_func_token,
     stream_jsonl,
@@ -445,8 +444,7 @@ def _cmd_check(args, spec):
     if cid == "2E" and len(set(ls)) < 2:
         raise ValueError("check 2E needs --l with at least two distinct "
                          "values, e.g. --l 1,2")
-    constants = load_reference_constants(args.wl_file) if args.wl_file else None
-    W = constants.growth_rate(l) if constants else None
+    W = load_reference_constants(args.wl_file).get(l) if args.wl_file else None
 
     if cid in ("v2", "v3"):
         grid = range(1, args.m_max + 1)
@@ -539,7 +537,7 @@ def cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.cache_dir = args.cache_dir or default_cache_dir()
+    args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     try:
         return _COMMANDS[args.command](args, parse_func_token(args.func))
     except BrokenPipeError:

@@ -91,36 +91,24 @@ def write_report(report: TrendReport, fh):
     fh.write("\n")
 
 
-@dataclass(frozen=True)
-class ReferenceConstants:
-    """Per-l reference growth rates (and optional constants), from config."""
-
-    growth: dict = field(default_factory=dict)
-    constant: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
-
-    def growth_rate(self, l: int):
-        return self.growth.get(l)
-
-
-def load_reference_constants(path: str) -> ReferenceConstants:
-    """JSON schema: {"1": {"W": "3.7", "R": "0.9", "note": "..."}, ...}."""
+def load_reference_constants(path: str) -> dict:
+    """Growth rates ``{l: W}`` from JSON ``{"1": {"W": "3.7"}, ...}``; other
+    keys of an entry are ignored."""
     with open(path) as fh:
         raw = json.load(fh)
-    growth, constant, notes = {}, {}, {}
+    growth = {}
     with workprec(256):
         for key, entry in raw.items():
             l = int(key)
+            if not isinstance(entry, dict):
+                raise ValueError("reference entry for l=%d is not a JSON "
+                                 "object: %r" % (l, entry))
             if "W" in entry:
                 w = mpf(entry["W"])
                 if not w > 0:
                     raise ValueError("growth rate for l=%d must be positive" % l)
                 growth[l] = w
-            if "R" in entry:
-                constant[l] = mpf(entry["R"])
-            if "note" in entry:
-                notes[l] = entry["note"]
-    return ReferenceConstants(growth=growth, constant=constant, notes=notes)
+    return growth
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,7 @@ class TestCache:
     def test_round_trip_bit_exact(self, tmp_path):
         cd = str(tmp_path)
         a = generate(analytic_spec("zeta-star"), 5, 192, cache_dir=cd)
-        files = sorted(os.listdir(cd))
-        assert any(f.endswith(".jsonl") for f in files)
-        assert any(f.endswith(".manifest.json") for f in files)
+        assert os.listdir(cd) == ["%s_b192_f3.jsonl" % a.spec.spec_hash()]
         b = generate(analytic_spec("zeta-star"), 5, 192, cache_dir=cd)
         assert "[cache]" in b.provenance
         assert [x._mpf_ for x in a.values] == [x._mpf_ for x in b.values]
@@ -208,19 +206,15 @@ class TestCache:
         assert b.max_index == 4 and len(b.values) == 5
 
     def test_corrupted_cache_detected(self, tmp_path):
-        # a gap in the indices, a malformed decimal, a values line that is
-        # JSON but not an object, then a manifest that is not an object
-        cases = ((".jsonl", "k", 17), (".jsonl", "v", "1.0x"),
-                 (".jsonl", None, [1, 2]), (".manifest.json", None, []))
-        for i, (suffix, key, bad) in enumerate(cases):
+        # a gap in the indices, a malformed decimal, and a values line that
+        # is JSON but not an object
+        cases = (("k", 17), ("v", "1.0x"), (None, [1, 2]))
+        for i, (key, bad) in enumerate(cases):
             cd = str(tmp_path / str(i))
             generate(builtin_spec("exponential"), 4, 128, cache_dir=cd)
-            name = [f for f in os.listdir(cd) if f.endswith(suffix)][0]
-            path = os.path.join(cd, name)
+            path = coeffs._cache_path(builtin_spec("exponential"), 128, cd)
             lines = open(path).read().splitlines()
-            if suffix == ".manifest.json":
-                lines = [json.dumps(bad)]
-            elif key is None:
+            if key is None:
                 lines[2] = json.dumps(bad)
             else:
                 rec = json.loads(lines[2])
@@ -238,25 +232,35 @@ class TestCache:
         assert "[cache]" not in b.provenance
         assert b.precision_bits == 256
 
-    def test_format_1_cache_ignored_and_replaced(self, tmp_path):
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_older_layout_not_read(self, sidecar, tmp_path):
+        # values under the name of the layout with a sidecar manifest
         cd = str(tmp_path)
         spec = analytic_spec("one-over-one-minus-z")
-        generate(spec, 4, 128, cache_dir=cd)
-        vpath, mpath = coeffs._cache_paths(spec, 128, cd)
-        manifest = json.load(open(mpath))
-        manifest["format"] = 1
-        with open(mpath, "w") as fh:
-            json.dump(manifest, fh)
-        with open(vpath, "w") as fh:       # planted values of an older path
+        h = spec.spec_hash()
+        with open(os.path.join(cd, "%s_b128.jsonl" % h), "w") as fh:
             for k in range(5):
                 fh.write(json.dumps({"bits": 128, "k": k, "v": "7"}) + "\n")
+        if sidecar:
+            with open(os.path.join(cd, "%s.manifest.json" % h), "w") as fh:
+                json.dump({"format": 2, "provenance": "planted",
+                           "spec_hash": h}, fh)
         st = generate(spec, 4, 128, cache_dir=cd)
         assert "[cache]" not in st.provenance
         assert list(st.values) == [1] * 5
-        assert json.load(open(mpath))["format"] == 2
         again = generate(spec, 4, 128, cache_dir=cd)
-        assert "[cache]" in again.provenance
+        assert again.provenance == st.provenance + " [cache]"
         assert list(again.values) == [1] * 5
+
+    @pytest.mark.parametrize("spec", [builtin_spec("exponential"),
+                                      analytic_spec("one-over-one-minus-z")],
+                             ids=["builtin", "analytic"])
+    def test_hit_provenance_is_computed_plus_cache(self, spec, tmp_path):
+        cd = str(tmp_path)
+        computed = generate(spec, 4, 128, cache_dir=cd)
+        hit = generate(spec, 4, 128, cache_dir=cd)
+        assert hit.provenance == computed.provenance + " [cache]"
+        assert computed.provenance == generate(spec, 4, 128).provenance
 
 
 class TestStreamBlocks:
@@ -288,13 +292,13 @@ class TestStreamBlocks:
         assert "[cache]" in b.provenance
         assert [x._mpf_ for x in b.values] == [x._mpf_ for x in exact]
         assert [x._mpf_ for x in a.values] == [x._mpf_ for x in exact[:33]]
-        vpath, _ = coeffs._cache_paths(spec, 256, cd)
+        vpath = coeffs._cache_path(spec, 256, cd)
         assert len(open(vpath).read().splitlines()) == 40
 
     def test_builtin_streams_exact_length(self, tmp_path):
         cd = str(tmp_path)
         generate(builtin_spec("exponential"), 9, 128, cache_dir=cd)
-        vpath, _ = coeffs._cache_paths(builtin_spec("exponential"), 128, cd)
+        vpath = coeffs._cache_path(builtin_spec("exponential"), 128, cd)
         assert len(open(vpath).read().splitlines()) == 10
         assert generate(builtin_spec("user-moments", "1", "2"), 1, 128).values \
             == (1, 2)

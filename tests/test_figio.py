@@ -405,6 +405,20 @@ class TestCli:
         assert doc["check"] == cid and doc["l"] == 1
         assert doc["verdict"] == "UNAVAILABLE"
 
+    def test_malformed_wl_file_entry_is_an_error(self, tmp_path, monkeypatch,
+                                                 capsys):
+        def no_stream(*args, **kwargs):
+            pytest.fail("a stream was generated")
+
+        monkeypatch.setattr(figio, "generate", no_stream)
+        wl = tmp_path / "wl.json"
+        wl.write_text(json.dumps({"1": "2.5"}))
+        assert cli(["check", "v6", "--func", "exponential", "--l", "1",
+                    "--m-max", "8", "--wl-file", str(wl)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "l=1" in captured.err and "not a JSON object" in captured.err
+
     @pytest.mark.parametrize("cid, m_max", [("2C", "32"), ("2D", "8")])
     def test_dyadic_reports_carry_l(self, cid, m_max, capsys):
         rc = cli(["check", cid, "--func", "exponential", "--l", "1",

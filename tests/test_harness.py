@@ -367,9 +367,15 @@ class TestReports:
         p.write_text(json.dumps({"1": {"W": "3.7", "R": "0.9", "note": "x"},
                                  "2": {"W": "4.1"}}))
         rc = load_reference_constants(str(p))
-        assert float(rc.growth_rate(1)) == pytest.approx(3.7)
-        assert rc.growth_rate(3) is None
-        assert float(rc.constant[1]) == pytest.approx(0.9)
+        assert float(rc.get(1)) == pytest.approx(3.7)
+        assert rc.get(3) is None
+
+    @pytest.mark.parametrize("entry", ["2.5", ["W"], None])
+    def test_reference_entry_not_an_object(self, entry, tmp_path):
+        p = tmp_path / "wl.json"
+        p.write_text(json.dumps({"2": {"W": "4.1"}, "3": entry}))
+        with pytest.raises(ValueError, match="l=3"):
+            load_reference_constants(str(p))
 
     def test_reference_constants_positive(self, tmp_path):
         p = tmp_path / "wl.json"
