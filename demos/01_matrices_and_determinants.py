@@ -30,8 +30,8 @@ def main():
     print("\n= signed Hankel matrices =")
     print("sign prefactor for m = 1..8:",
           [hs.sign_prefactor(m) for m in range(1, 9)])
-    sh = hs.signed_hankel(exp, l=2, m=3)
-    show_matrix("signed matrix (l=2, m=3), prefactor %+d:" % sh.sign, sh.matrix)
+    show_matrix("signed matrix (l=2, m=3), prefactor %+d:"
+                % hs.sign_prefactor(3), hs.signed_hankel(exp, l=2, m=3))
 
     # --- determinants and the column-rearrangement identity ------------
     print("\n= determinant identity =")
@@ -46,7 +46,7 @@ def main():
     with workprec(300):
         for n in (2, 4, 8, 12):
             rows = [[hs.theta(cat, i + j) for j in range(n)] for i in range(n)]
-            d = hs.det_lu(hs.real_matrix(rows, symmetric=True), 256)
+            d = hs.det_lu(hs.real_matrix(rows), 256)
             print("size %2d: det = %s" % (n, mp.nstr(d, 20)))
 
 

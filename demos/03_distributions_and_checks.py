@@ -36,7 +36,7 @@ def main(outdir="demo_out"):
 
     print("\n= growth-rate extrapolation from determinants =")
     dets = [(r.m, r.det) for r in records.values()]
-    dets += [(m, hs.det_lu(hs.signed_hankel(stream, 1, m).matrix, 256))
+    dets += [(m, hs.det_lu(hs.signed_hankel(stream, 1, m), 256))
              for m in range(1, 33) if m not in dyadic]
     rep = hs.estimate_growth_rate(sorted(dets))
     print("verdict:", rep.verdict)

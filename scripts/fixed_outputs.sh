@@ -6,10 +6,11 @@
 #
 # The set covers each writer of the program: sweep CSV and JSON, spectrum
 # (one record that climbs past a zero-at-precision, one exactly singular),
-# dist, the coeffs stream file (its stream read from the cache), every check
-# id (v2 and v6 with the reference-rate file wl.json that the script writes
-# into OUTDIR, and both without it), both SVG figures, every manifest, the
-# coefficient cache and the record store, which a repeated check reads back.
+# dist, the coeffs stream file (a zeta-star stream read from the cache, and
+# a rational2 stream whose closed form cancels), every check id (v2 and v6
+# with the reference-rate file wl.json that the script writes into OUTDIR,
+# and both without it), both SVG figures, every manifest, the coefficient
+# cache and the record store, which a repeated check reads back.
 # Commands run inside OUTDIR with relative paths, and their exit codes,
 # stdout and stderr go to OUTDIR/log.txt, so two runs of equal code give
 # equal trees.  To show that a change keeps every output byte-identical, run
@@ -83,6 +84,10 @@ done
 run check 2A --func zeta-star --l 1 --m-max 32 --out check_2A_again.json
 run check 2E --func zeta-star --l 1,2 --m-max 32 --out check_2E.json
 run coeffs --func zeta-star --l 1 --m-max 8 --out coeffs_zeta_star.jsonl
+# two parameters that agree to 20 digits: the closed form's difference
+# quotient cancels, so each coefficient is rounded once from exact rationals
+run coeffs --func rational2:1,1.00000000000000000001 --l 1 --m-max 8 \
+    --out coeffs_rational2.jsonl
 # exponential m=56 is nonsingular but has a zero-at-precision at 256 bits,
 # so it climbs to 512; 1/(1-z) at m=3 has nullity 1, a proved zero
 run spectrum --func exponential --l 1 --m 56 --format json \

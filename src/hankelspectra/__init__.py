@@ -33,7 +33,6 @@ from .dist import (
 )
 from .hankel import (
     DetRelationReport,
-    SignedHankel,
     det_relation_check,
     hankel_core,
     raw_toeplitz,

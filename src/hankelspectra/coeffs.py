@@ -51,8 +51,10 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 from .mpnum import from_decimal, to_decimal
 
@@ -529,14 +531,14 @@ def builtin_spec(family: str, *params) -> FunctionSpec:
         raise UnknownGeneratorError("unknown builtin family %r" % family)
     sp = tuple(str(p) for p in params)
     for p in sp:
-        if not math.isfinite(float(p)):
+        if not mp.isfinite(mpf(p)):
             raise ValueError("builtin parameters must be finite, got %r" % p)
     if family == "geometric" and len(sp) != 1:
         raise ValueError("geometric takes exactly one ratio parameter")
     if family == "rational2":
         if len(sp) != 2:
             raise ValueError("rational2 takes exactly two parameters")
-        if sp[0] == sp[1]:
+        if Fraction(sp[0]) == Fraction(sp[1]):
             raise ValueError("rational2 parameters must differ")
     if family == "user-moments" and not sp:
         raise ValueError("user-moments needs at least one value")
@@ -671,11 +673,11 @@ def _builtin_values(spec: FunctionSpec, N: int, prec: int):
             for k in range(N + 1):
                 out.append(1 / mpf(math.factorial(k)))
         elif fam == "rational2":
-            a, b = mpf(spec.params[0]), mpf(spec.params[1])
-            pa, pb = a, b
-            for k in range(N + 1):
-                out.append((pa - pb) / (a - b))
-                pa, pb = pa * a, pb * b
+            A, B = (Fraction(p) for p in spec.params)
+            for k in range(N + 1):       # exact, then rounded once
+                c = (A ** (k + 1) - B ** (k + 1)) / (A - B)
+                out.append(mp.make_mpf(from_rational(
+                    c.numerator, c.denominator, prec, round_nearest)))
         elif fam == "catalan":
             out = [mpf(c) for c in _catalan_numbers(N)]
         elif fam == "user-moments":

@@ -256,7 +256,7 @@ def _add_common(p):
 
 
 def _add_record_flags(p):
-    """``_add_common`` plus the flag of commands that compute spectra."""
+    """``_add_common`` plus ``--jobs``, for commands of many records."""
     _add_common(p)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
@@ -274,7 +274,8 @@ def build_parser():
                    help="largest matrix size the stream must cover")
 
     p = sub.add_parser("spectrum", help="spectrum of a single (l, m) matrix")
-    _add_record_flags(p)
+    _add_common(p)
+    p.set_defaults(jobs=1)      # one record: no pool
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -284,7 +285,8 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("dist", help="distribution of one logarithmic spectrum")
-    _add_record_flags(p)
+    _add_common(p)
+    p.set_defaults(jobs=1)      # one record: no pool
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -468,8 +470,8 @@ def _cmd_check(args, spec):
                   else check_mean_trend(dict.fromkeys(grid), None, l=l))
     elif cid in ("v2", "v3"):
         stream = _make_stream(args, spec, l, args.m_max)
-        dets = [(m, det_lu(signed_hankel(stream, l, m).matrix,
-                           stream.precision_bits)) for m in grid]
+        dets = [(m, det_lu(signed_hankel(stream, l, m), stream.precision_bits))
+                for m in grid]
         report = (estimate_growth_rate(dets) if cid == "v3"
                   else estimate_constant_factor(dets, W))
     else:

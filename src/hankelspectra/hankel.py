@@ -8,10 +8,11 @@ has entries (1-based)
 i.e. the first row reads c[l+m-1] .. c[l], the last row c[l] .. c[l-m+1],
 with the scalar prefactor
 
-    sign(m) = -(-1)^((m+1)(m+2)/2)
+    sign(m) = -(-1)^((m+1)(m+2)/2),
 
-recorded separately.  ``coefficient_window`` gives the indices it reads,
-l-m+1 .. l+m-1, and raises ``StreamTooShortError`` for a shorter stream.
+which ``sign_prefactor(m)`` gives.  ``coefficient_window`` gives the
+indices it reads, l-m+1 .. l+m-1, and raises ``StreamTooShortError`` for a
+shorter stream.
 Reversing the columns of the unsigned core produces the Toeplitz matrix
 entry(i, j) = c[l + j - i]; since column reversal is a permutation of sign
 (-1)^(m(m-1)/2), the two determinants agree up to that sign, which
@@ -31,12 +32,6 @@ from .mpnum import IDENTITY_REL_EXP, RealMatrix, _within_rel, det_lu
 
 class StreamTooShortError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SignedHankel:
-    sign: int
-    matrix: RealMatrix
 
 
 def sign_prefactor(m: int) -> int:
@@ -71,15 +66,13 @@ def _core_rows(stream, l, m, negate=False):
 
 def hankel_core(stream: CoeffStream, l: int, m: int) -> RealMatrix:
     """Unsigned core: entry(i, j) = c[l + m + 1 - i - j] (1-based)."""
-    return RealMatrix(entries=_core_rows(stream, l, m), symmetric=True)
+    return RealMatrix(entries=_core_rows(stream, l, m))
 
 
-def signed_hankel(stream: CoeffStream, l: int, m: int) -> SignedHankel:
-    """The signed Hankel matrix with its sign prefactor recorded."""
-    sign = sign_prefactor(max(m, 1))    # m < 1 is rejected by _core_rows
-    rows = _core_rows(stream, l, m, negate=sign < 0)
-    return SignedHankel(sign=sign,
-                        matrix=RealMatrix(entries=rows, symmetric=True))
+def signed_hankel(stream: CoeffStream, l: int, m: int) -> RealMatrix:
+    """The core times ``sign_prefactor(m)``."""
+    negate = sign_prefactor(max(m, 1)) < 0   # m < 1 is rejected by _core_rows
+    return RealMatrix(entries=_core_rows(stream, l, m, negate=negate))
 
 
 def raw_toeplitz(stream: CoeffStream, l: int, m: int) -> RealMatrix:
@@ -88,8 +81,7 @@ def raw_toeplitz(stream: CoeffStream, l: int, m: int) -> RealMatrix:
     This is the core with its columns reversed.
     """
     rows = _core_rows(stream, l, m)
-    return RealMatrix(entries=tuple(row[::-1] for row in rows),
-                      symmetric=False)
+    return RealMatrix(entries=tuple(row[::-1] for row in rows))
 
 
 @dataclass(frozen=True)

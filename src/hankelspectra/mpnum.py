@@ -8,7 +8,7 @@ global mpmath context and safe to call concurrently from worker processes.
 
 * ``det_lu``          -- determinant via LU with partial pivoting,
 * ``sym_eigenvalues`` -- Householder tridiagonalisation plus root-free QL
-                         for real symmetric matrices,
+                         for real symmetric matrices (checked exactly),
 * ``accept_level``    -- the one acceptance rule: the product/determinant
                          identity, and zeros-at-precision only as many as
                          the exact nullity,
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import add, mul
+from operator import add, mul, ne
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -93,11 +93,6 @@ class IdentityError(RuntimeError):
 
 class PrecisionCapError(RuntimeError):
     """Adaptive precision doubling hit its cap before results agreed."""
-
-    def __init__(self, message, last=None, previous=None):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous
 
 
 def ladder(target_digits: int) -> list:
@@ -145,10 +140,9 @@ def from_decimal(s: str, bits: int) -> mpf:
 
 @dataclass(frozen=True)
 class RealMatrix:
-    """Square matrix of mpf entries; ``symmetric`` asserts bit-exact symmetry."""
+    """Square matrix of mpf entries; ``sym_eigenvalues`` checks symmetry."""
 
     entries: tuple
-    symmetric: bool = False
 
     @property
     def dim(self) -> int:
@@ -168,8 +162,8 @@ class RealMatrix:
                   for sign, man, exp, _ in row) for row in raws)
 
 
-def real_matrix(rows, symmetric: bool = False) -> RealMatrix:
-    """Build a RealMatrix from ints/floats/mpfs (all exactly representable)."""
+def real_matrix(rows) -> RealMatrix:
+    """A square RealMatrix of ints/floats/mpfs (all exactly representable)."""
     ents = []
     n = len(rows)
     if n == 0:
@@ -178,15 +172,7 @@ def real_matrix(rows, symmetric: bool = False) -> RealMatrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
         ents.append(tuple(x if isinstance(x, mpf) else mpf(x) for x in row))
-    ents = tuple(ents)
-    if symmetric:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ents[i][j]._mpf_ != ents[j][i]._mpf_:
-                    raise NonSymmetricError(
-                        "entry (%d,%d) differs from (%d,%d)" % (i, j, j, i)
-                    )
-    return RealMatrix(entries=ents, symmetric=symmetric)
+    return RealMatrix(entries=tuple(ents))
 
 
 def trace(A: RealMatrix, prec: int) -> mpf:
@@ -463,11 +449,15 @@ def sym_eigenvalues(A: RealMatrix, prec: int) -> EigenResult:
     deflated e_i moves the eigenvalues by at most |e_i| (Weyl), so every
     eigenvalue is within about n * 2^-(prec+40) * ||A||_F of the rounded
     matrix's.  A value within 2^-(prec+32) * 2^E of 0 is reported as exact
-    0.  The diagonal is rounded to ``prec`` once and comes back sorted
-    ascending.
+    0.  The diagonal is rounded to ``prec`` once and sorted ascending.
+    Input that is not exactly symmetric raises ``NonSymmetricError``.
     """
-    if not A.symmetric:
-        raise NonSymmetricError("sym_eigenvalues requires the symmetric flag")
+    rows = A.exact[1]
+    if any(map(ne, rows, zip(*rows))):     # row i against column i
+        i, j = next((i, j) for i, row in enumerate(rows)
+                    for j, v in enumerate(row) if v != rows[j][i])
+        raise NonSymmetricError("entry (%d,%d) differs from (%d,%d)"
+                                % (i, j, j, i))
     n = A.dim
     exact = _diagonal_result(A, prec)
     if exact is not None:
@@ -577,18 +567,16 @@ def adaptive_solve(A: RealMatrix, target_digits: int) -> EigenResult:
     when it matches the previous one on every eigenvalue to
     ``target_digits`` relative digits (absolute for values below
     10^-target_digits); exactly diagonal input agrees at the first level,
-    since its diagonal is the exact answer.  An agreeing level is judged by
-    ``accept_level``; a rejected one continues the ladder from that level.
-    At the cap, ``IdentityError`` names the last failed acceptance if any
-    level agreed, else ``PrecisionCapError`` carries the last two levels,
-    None for each the ladder lacks.
+    since its diagonal is the exact answer; other input goes to
+    ``sym_eigenvalues``, which refuses an asymmetric one.  An agreeing
+    level is judged by ``accept_level``; a rejected one continues the
+    ladder from that level.  At the cap, ``IdentityError`` names the last
+    failed acceptance if any level agreed, else ``PrecisionCapError``.
     """
-    if not A.symmetric:
-        raise NonSymmetricError("adaptive_solve requires the symmetric flag")
     if target_digits < 10:
         raise ValueError("target_digits must be >= 10")
     n = A.dim
-    prev = older = reason = None
+    prev = reason = None
     for prec in ladder(target_digits):
         cur = _diagonal_result(A, prec) if prev is None else None
         agreed = cur is not None
@@ -600,13 +588,10 @@ def adaptive_solve(A: RealMatrix, target_digits: int) -> EigenResult:
             det, floor, reason = accept_level(A, cur.eigenvalues, prec)
             if reason is None:
                 return replace(cur, det=det, zero_floor=floor)
-        older, prev = prev, cur
+        prev = cur
     if reason:
         raise IdentityError("%s; precision cap %d reached (insufficient "
                             "precision)" % (reason, DEFAULT_PREC_CAP))
     raise PrecisionCapError(
         "no agreement to %d digits below the %d-bit precision cap"
-        % (target_digits, DEFAULT_PREC_CAP),
-        last=prev.eigenvalues if prev is not None else None,
-        previous=older.eigenvalues if older is not None else None,
-    )
+        % (target_digits, DEFAULT_PREC_CAP))

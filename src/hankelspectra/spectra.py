@@ -113,7 +113,7 @@ class SweepResult:
 def compute_spectrum(stream: CoeffStream, l: int, m: int,
                      target_digits: int) -> SpectrumRecord:
     """Eigenvalues of the (l, m) signed Hankel matrix, identity-validated."""
-    res = adaptive_solve(signed_hankel(stream, l, m).matrix, target_digits)
+    res = adaptive_solve(signed_hankel(stream, l, m), target_digits)
     return SpectrumRecord(
         l=l, m=m, function_id=stream.spec.name, eigenvalues=res.eigenvalues,
         precision_used=res.precision_used, target_digits=target_digits,
@@ -350,8 +350,7 @@ def _load_record(stream, l, m, target_digits, path):
         # malformed JSON is a ValueError; JSON of the wrong shape gives a
         # KeyError, or a TypeError or ValueError from indexing or unpacking
         raise CacheCorruptionError("unreadable record %s: %s" % (path, exc))
-    det, floor, reason = accept_level(signed_hankel(stream, l, m).matrix,
-                                      eigs, prec)
+    det, floor, reason = accept_level(signed_hankel(stream, l, m), eigs, prec)
     if reason is not None:
         return None
     return SpectrumRecord(

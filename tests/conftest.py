@@ -236,7 +236,7 @@ def rand_symmetric(n, rng, bits=256):
                 x = mpf(rng.getrandbits(bits)) / (1 << bits)
                 vals[(i, j)] = vals[(j, i)] = +(2 * x - 1)
         rows = [[vals[(i, j)] for j in range(n)] for i in range(n)]
-    return real_matrix(rows, symmetric=True)
+    return real_matrix(rows)
 
 
 @pytest.fixture

@@ -99,7 +99,7 @@ def test_c2_catalan_hankel_determinants():
         rows = [[cats[i + j] for j in range(n)] for i in range(n)]
         if n <= 8:
             assert cofactor_det([[int(v) for v in row] for row in rows]) == 1
-        d = det_lu(real_matrix(rows, symmetric=True), 384)
+        d = det_lu(real_matrix(rows), 384)
         with workprec(420):
             assert abs(d - 1) <= mpf(10) ** -50, n
     print("ACCEPTANCE 2: PASS - Catalan Hankel determinants equal 1 to "

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -26,7 +27,7 @@ from hankelspectra.coeffs import (
     load_analytic_config,
 )
 
-from conftest import ring_quadrature
+from conftest import exact_fraction, ring_quadrature, round_bits
 
 # published 50-digit expansions
 ZETA2_50 = "1.6449340668482264364724151666460251892189499012068"
@@ -86,6 +87,26 @@ class TestBuiltins:
         assert theta(st, 0) == 1
         with pytest.raises(ValueError):
             builtin_spec("rational2", 3, 3)
+
+    @pytest.mark.parametrize("a, b", [("1", "1.00000000000000000001"),
+                                      ("3.7", "-1.25")])
+    def test_rational2_rounded_once(self, a, b):
+        # oracle: c_k = sum_j A^j B^(k-j) in exact rationals, rounded once;
+        # the first pair cancels 66 bits in (A^(k+1) - B^(k+1)) / (A - B)
+        st = generate(builtin_spec("rational2", a, b), 40, 256)
+        A, B = Fraction(a), Fraction(b)
+        for k in range(41):
+            ck = sum(A ** j * B ** (k - j) for j in range(k + 1))
+            assert exact_fraction(theta(st, k)) == round_bits(ck, 256)
+
+    def test_rational2_equal_values_rejected(self):
+        with pytest.raises(ValueError, match="must differ"):
+            builtin_spec("rational2", "3", "3.0")
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_nonfinite_parameter_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            builtin_spec("geometric", bad)
 
     def test_catalan(self):
         st = generate(builtin_spec("catalan"), 9, 128)

@@ -336,6 +336,19 @@ class TestCli:
         assert rc == 2
         assert flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["spectrum", "dist"])
+    def test_single_record_commands_reject_jobs(self, cmd, capsys):
+        rc = cli([cmd, "--func", "exponential", "--l", "1", "--m", "3",
+                  "--jobs", "2"])
+        assert rc == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_parameter_beyond_float_range(self, capsys):
+        # 1e400 overflows a float, not an mpf
+        assert cli(["spectrum", "--func", "geometric:1e400", "--l", "1",
+                    "--m", "1", "--digits", "20"]) == 0
+        assert "e+400," in capsys.readouterr().out
+
     def test_check_2a_small(self, tmp_path, capsys):
         rc = cli(["check", "2A", "--func", "exponential", "--l", "1",
                   "--m-max", "16", "--digits", "25"])

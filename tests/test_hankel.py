@@ -39,19 +39,18 @@ class TestSignPrefactor:
 
 class TestBuild:
     def test_smallest_case(self, exp_stream):
-        sh = signed_hankel(exp_stream, 1, 1)
-        assert sh.sign == 1
-        assert sh.matrix.entries == ((theta(exp_stream, 1),),)
+        assert sign_prefactor(1) == 1
+        assert signed_hankel(exp_stream, 1, 1).entries == \
+            ((theta(exp_stream, 1),),)
 
     def test_geometric_ones_2x2(self, geo1_stream):
         sh = signed_hankel(geo1_stream, 1, 2)
-        assert sh.sign == -1
-        assert [[str(x) for x in row] for row in sh.matrix.entries] == \
+        assert sign_prefactor(2) == -1
+        assert [[str(x) for x in row] for row in sh.entries] == \
             [["-1.0", "-1.0"], ["-1.0", "-1.0"]]
 
     def test_index_formula_l2_m3(self, exp_stream):
-        sh = signed_hankel(exp_stream, 2, 3)
-        m = sh.matrix
+        m = signed_hankel(exp_stream, 2, 3)
         sign = sign_prefactor(3)
         assert sign == -1
         # 1-based entry(1,1) = sign*c4, entry(3,3) = sign*c0,
@@ -63,9 +62,7 @@ class TestBuild:
             assert m.entries[0][2] == m.entries[2][0]
 
     def test_symmetry_and_hankel_property(self, exp_stream):
-        sh = signed_hankel(exp_stream, 3, 5)
-        m = sh.matrix
-        assert m.symmetric
+        m = signed_hankel(exp_stream, 3, 5)
         for i in range(5):
             for j in range(5):
                 assert m.entries[i][j]._mpf_ == m.entries[j][i]._mpf_
@@ -139,10 +136,11 @@ class TestDetRelation:
         for l, m in ((1, 2), (2, 3), (3, 4), (1, 5)):
             sh, core = signed_hankel(st, l, m), hankel_core(st, l, m)
             # entrywise, bit for bit: signed = sign * core
-            for srow, crow in zip(sh.matrix.entries, core.entries):
+            sign = sign_prefactor(m)
+            for srow, crow in zip(sh.entries, core.entries):
                 assert [x._mpf_ for x in srow] == \
-                    [v._mpf_ if sh.sign > 0 else mpf_neg(v._mpf_) for v in crow]
-            ds = det_lu(sh.matrix, 256)
+                    [v._mpf_ if sign > 0 else mpf_neg(v._mpf_) for v in crow]
+            ds = det_lu(sh, 256)
             dc = det_lu(core, 256)
             s = sign_prefactor(m) ** m
             with workprec(300):

@@ -84,7 +84,7 @@ class TestComputeSpectrum:
 
     def test_trace_identity(self, exp_stream):
         rec = compute_spectrum(exp_stream, 2, 5, 30)
-        A = signed_hankel(exp_stream, 2, 5).matrix
+        A = signed_hankel(exp_stream, 2, 5)
         with workprec(rec.precision_used + 32):
             s = sum(rec.eigenvalues, mpf(0))
             tr = trace(A, rec.precision_used)
@@ -118,7 +118,7 @@ class TestLadderStartOracle:
     def test_record_vs_oracles(self, oracle_streams, name, m):
         stream = oracle_streams[name]
         rec = compute_spectrum(stream, 1, m, 30)
-        A = signed_hankel(stream, 1, m).matrix
+        A = signed_hankel(stream, 1, m)
         oracle = eigsy_oracle(A.entries, rec.precision_used)
         relative = (name, m) in _RELATIVE_SIZES
         if relative:
@@ -512,7 +512,7 @@ class TestRecordStore:
         # ladder 128, 256, 512, ... and would load; format 2 keys miss it
         cd = str(tmp_path)
         rec = compute_spectrum(exp_stream, 1, 4, 30)
-        high = sym_eigenvalues(signed_hankel(exp_stream, 1, 4).matrix, 512)
+        high = sym_eigenvalues(signed_hankel(exp_stream, 1, 4), 512)
         old = replace(rec, eigenvalues=high.eigenvalues, precision_used=512)
         monkeypatch.setattr(spectra_mod, "RECORD_FORMAT", 1)
         spectra_mod._store_record(old, spectra_mod._record_path(
@@ -575,7 +575,7 @@ class TestRecordStore:
         # has the same key, fails the rule on load and is overwritten
         stream = oracle_streams["exponential"]
         cd = str(tmp_path)
-        A = signed_hankel(stream, 1, 56).matrix
+        A = signed_hankel(stream, 1, 56)
         low = sym_eigenvalues(A, 256).eigenvalues
         _, floor, reason = accept_level(A, low, 256)
         assert sum(1 for mu in low if abs(mu) <= floor) == 1
